@@ -8,9 +8,10 @@
 //
 // Part 2 (overload sweep): the same question asked of the QUERY ENGINE
 // instead of the packet network. Offered load is swept past the service's
-// capacity with admission control and per-query deadlines armed; reported
-// per level: goodput (authoritative answers per second), p99 latency, and
-// the shed rate. A healthy overload posture keeps p99 bounded and goodput
+// capacity with admission control and per-query deadlines armed (arrivals
+// wait in the harness's bounded 512-slot queue; the kReject gate itself
+// never queues); reported per level: goodput (authoritative answers per
+// second), p99 latency, and the shed rate. A healthy overload posture keeps p99 bounded and goodput
 // flat past saturation while the shed rate absorbs the excess — the
 // unhealthy alternative (unbounded queueing) shows up as p99 blowing up
 // instead. The sweep is appended to BENCH_query.json next to
@@ -20,7 +21,8 @@
 // Part 3 (closed-loop sweep + shed cost, PR 8): the acceptance curve for
 // the shed-fast path. A fixed set of streams (4x the in-flight bound)
 // issue-on-completion against a kReject gate, so offered load self-
-// regulates and every excess arrival exercises the striped rejection path;
+// regulates and every excess arrival exercises the striped rejection path
+// (a shed stream backs off and retries its query, see sim/soak.hpp);
 // goodput must PLATEAU as queries/epoch rises (the old sweep collapsed
 // 575k -> 296k qps because rejections paid per-query allocation + stats).
 // A micro-measurement of answer() against a fully-shedding gate reports
@@ -32,6 +34,7 @@
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/io.hpp"
@@ -67,7 +70,7 @@ OverloadRow run_level(std::size_t offered_per_epoch, std::size_t epochs) {
   config.fault_rate = 0.5;
   config.seed = 99;
   config.admission.max_in_flight = 8;
-  config.admission.policy = hhc::query::AdmissionPolicy::kQueue;
+  config.admission.policy = hhc::query::AdmissionPolicy::kReject;
   const hhc::sim::SoakReport report = hhc::sim::run_soak(config);
 
   OverloadRow row;
@@ -188,6 +191,9 @@ std::string sweep_fragment(const std::vector<OverloadRow>& open_rows,
   json.end_array();
   json.key("shed_cost_p50_us").value(cost.p50_us);
   json.key("shed_cost_p99_us").value(cost.p99_us);
+  // The sweeps may come from another host than the throughput fields.
+  json.key("overload_hardware_threads")
+      .value(std::uint64_t{std::thread::hardware_concurrency()});
   json.end_object();
   std::string doc = json.str();
   return doc.substr(1, doc.size() - 2);  // strip the outer { }

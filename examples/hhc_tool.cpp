@@ -245,15 +245,13 @@ int cmd_soak(const util::Options& opts) {
       static_cast<std::size_t>(opts.get_int("max-in-flight", 8));
   config.admission.breaker_threshold =
       static_cast<std::size_t>(opts.get_int("breaker", 3));
-  const std::string policy = opts.get("policy", "queue");
+  const std::string policy = opts.get("policy", "reject");
   if (policy == "reject") {
     config.admission.policy = query::AdmissionPolicy::kReject;
-  } else if (policy == "queue") {
-    config.admission.policy = query::AdmissionPolicy::kQueue;
   } else if (policy == "degrade") {
     config.admission.policy = query::AdmissionPolicy::kDegrade;
   } else {
-    std::fprintf(stderr, "unknown --policy %s (reject|queue|degrade)\n",
+    std::fprintf(stderr, "unknown --policy %s (reject|degrade)\n",
                  policy.c_str());
     return 1;
   }
@@ -292,8 +290,11 @@ void usage() {
       "             (--m --epochs --load --hostile --workers --max-queued\n"
       "              --closed-loop true|false (issue-on-completion streams)\n"
       "              --deadline-us --fault-rate --burst --repair-after --seed\n"
-      "              --max-in-flight --breaker --policy reject|queue|degrade\n"
-      "              --format table|csv|json)");
+      "              --max-in-flight --breaker --policy reject|degrade\n"
+      "              --format table|csv|json)\n"
+      "             the gate never queues: arrivals queue in front of the\n"
+      "             service (--max-queued), closed-loop streams back off\n"
+      "             and retry a shed query");
 }
 
 }  // namespace

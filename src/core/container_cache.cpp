@@ -32,6 +32,11 @@ std::vector<StatRow> CacheStats::rows() const {
 namespace {
 
 constexpr std::size_t kNoVictim = static_cast<std::size_t>(-1);
+// Index load-factor ceiling (the probe-length / memory trade): an insert
+// that would push occupancy past it grows the cloned table to the next
+// power of two. An uncapped shard's first index has kInitialSlots slots.
+constexpr std::size_t kMaxLoadPercent = 50;
+constexpr std::size_t kInitialSlots = 16;
 
 }  // namespace
 
@@ -42,31 +47,23 @@ ContainerCache::ContainerCache(const HhcTopology& net, Config config)
     : net_{net}, config_{config} {
   const std::size_t requested = config_.shards == 0 ? 1 : config_.shards;
   shards_.resize(std::bit_ceil(requested));
-  // A load ceiling outside (10, 90] percent is a misconfiguration that
-  // would either loop the grow logic or degrade probes to linear scans.
-  config_.max_load_percent = std::clamp<std::size_t>(
-      config_.max_load_percent == 0 ? 50 : config_.max_load_percent, 10, 90);
   // Each shard gets its own decorrelated eviction stream: deterministic
   // per (seed, shard index), independent across shards.
   util::SplitMix64 seeder{config_.eviction_seed};
-  std::size_t capacity_hint = config_.initial_index_capacity;
-  if (config_.max_entries_per_shard > 0) {
-    // A capped shard's index plateaus at the cap; size it to hold the cap
-    // within the load ceiling up front so such shards never grow at all.
-    capacity_hint = std::max(
-        capacity_hint,
-        config_.max_entries_per_shard * 100 / config_.max_load_percent + 1);
-  }
+  // A capped shard's index plateaus at the cap; size it to hold the cap
+  // within the load ceiling up front so such shards never grow at all.
+  const std::size_t cap = config_.max_entries_per_shard;
+  const std::size_t capped_slots =
+      cap == 0 ? 0 : std::bit_ceil(cap * 100 / kMaxLoadPercent + 1);
   for (auto& shard : shards_) {
     shard = std::make_unique<Shard>();
     shard->eviction_rng = util::Xoshiro256{seeder.next()};
-    if (capacity_hint > 0) {
-      // Pre-publish an empty pre-sized index so early inserts skip the
-      // first few grow-republish cycles. (Construction is single-threaded;
-      // the version bump still marks this as publication number one so
-      // readers' zero-stamped TLS entries refresh onto it.)
+    if (capped_slots > 0) {
+      // Pre-publish an empty pre-sized index. (Construction is
+      // single-threaded; the version bump still marks this as publication
+      // number one so readers' zero-stamped TLS entries refresh onto it.)
       auto index = std::make_shared<ShardIndex>();
-      index->slots.resize(std::bit_ceil(capacity_hint));
+      index->slots.resize(capped_slots);
       shard->index = std::move(index);
       shard->version.store(1, std::memory_order_release);
     }
@@ -140,9 +137,8 @@ std::shared_ptr<ContainerCache::ShardIndex const> ContainerCache::rebuild_index(
   const std::size_t entries = old_size - (victim != kNoVictim ? 1 : 0) + 1;
   std::size_t capacity = old != nullptr && !old->slots.empty()
                              ? old->slots.size()
-                             : std::bit_ceil(std::max<std::size_t>(
-                                   config_.initial_index_capacity, 16));
-  while (entries * 100 > capacity * config_.max_load_percent) capacity <<= 1;
+                             : kInitialSlots;
+  while (entries * 100 > capacity * kMaxLoadPercent) capacity <<= 1;
 
   auto next = std::make_shared<ShardIndex>();
   next->slots.resize(capacity);

@@ -180,16 +180,6 @@ class ContainerCache {
     /// Seed for the per-shard eviction RNGs (each shard derives its own
     /// stream, so eviction choices are deterministic per configuration).
     std::uint64_t eviction_seed = 0x9d1f2c3b4a596877ULL;
-    /// Publication knob: slots pre-sized into each shard's FIRST published
-    /// index (rounded up to a power of two). A good guess (≈ 2x the
-    /// expected resident entries) avoids the first few grow-republish
-    /// cycles; 0 picks a small default. Capped shards size themselves off
-    /// max_entries_per_shard regardless.
-    std::size_t initial_index_capacity = 0;
-    /// Publication knob: per-index load-factor ceiling in percent (the
-    /// probe-length / memory trade). An insert that would push occupancy
-    /// past this grows the cloned table to the next power of two.
-    std::size_t max_load_percent = 50;
   };
 
   /// The topology is held by reference (like sim::NetworkSimulator and every
@@ -279,7 +269,7 @@ class ContainerCache {
       }
     }
     /// Build-side insert (pre-publication only; capacity is guaranteed by
-    /// the builder, which keeps occupancy under the load ceiling).
+    /// the builder, which keeps occupancy under kMaxLoadPercent).
     void insert(const Key& key, std::shared_ptr<const FlatContainer> value);
   };
 

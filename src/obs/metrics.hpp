@@ -15,8 +15,8 @@
 //       obs::MetricRegistry::global().counter("construct.arena_refills");
 //   refills.inc();
 //
-// Histogram generalizes the query engine's latency histogram (which is now
-// a thin wrapper, see query/stats.hpp): kBuckets power-of-two bins where
+// Histogram is the one histogram type, also the query engine's answer
+// latency (query/stats.hpp): kBuckets power-of-two bins where
 // bucket b counts values in [2^(b-1), 2^b) and bucket 0 the sub-unit ones.
 // Percentiles read off upper bucket edges (conservative). Unlike the
 // pre-obs implementation, Snapshot::percentile skips empty leading buckets
@@ -35,7 +35,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -80,32 +79,6 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Shared percentile arithmetic for power-of-two bucket arrays (used by
-/// Histogram::Snapshot and query::LatencyHistogram::Snapshot). Throws
-/// std::invalid_argument for p outside [0, 1] (NaN included) or when the
-/// buckets are empty; p = 0 returns the edge of the first non-empty bucket.
-[[nodiscard]] inline double bucket_percentile(
-    std::span<const std::uint64_t> buckets, std::uint64_t count, double p) {
-  if (!(p >= 0.0 && p <= 1.0)) {
-    throw std::invalid_argument("bucket_percentile: p outside [0, 1]");
-  }
-  if (count == 0) {
-    throw std::invalid_argument("bucket_percentile: empty histogram");
-  }
-  // ceil(p * count) samples must fall at or below the reported edge; the
-  // clamp to >= 1 is what skips empty leading buckets at p = 0 (otherwise
-  // target = 0 is satisfied by bucket 0 even when bucket 0 holds nothing).
-  auto target =
-      static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(count)));
-  if (target == 0) target = 1;
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    cumulative += buckets[b];
-    if (cumulative >= target) return std::ldexp(1.0, static_cast<int>(b));
-  }
-  return std::ldexp(1.0, static_cast<int>(buckets.size()) - 1);
-}
-
 /// Lock-free power-of-two histogram: bucket b counts values in
 /// [2^(b-1), 2^b), bucket 0 everything below 1 (plus NaN/negatives), the
 /// top bucket saturates. Recording is one relaxed fetch_add plus a CAS-loop
@@ -120,10 +93,30 @@ class Histogram {
     std::uint64_t count = 0;
     double max_value = 0.0;
 
-    /// Upper bucket edge below which a `p` fraction of samples fall.
-    /// Throws std::invalid_argument when empty or p is outside [0, 1].
+    /// Upper bucket edge below which a `p` fraction of samples fall; p = 0
+    /// returns the edge of the first non-empty bucket. Throws
+    /// std::invalid_argument for p outside [0, 1] (NaN included) or when
+    /// the snapshot is empty.
     [[nodiscard]] double percentile(double p) const {
-      return bucket_percentile(buckets, count, p);
+      if (!(p >= 0.0 && p <= 1.0)) {
+        throw std::invalid_argument("Histogram: p outside [0, 1]");
+      }
+      if (count == 0) {
+        throw std::invalid_argument("Histogram: empty histogram");
+      }
+      // ceil(p * count) samples must fall at or below the reported edge; the
+      // clamp to >= 1 is what skips empty leading buckets at p = 0
+      // (otherwise target = 0 is satisfied by bucket 0 even when it is
+      // empty).
+      auto target =
+          static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(count)));
+      if (target == 0) target = 1;
+      std::uint64_t cumulative = 0;
+      for (std::size_t b = 0; b < buckets.size(); ++b) {
+        cumulative += buckets[b];
+        if (cumulative >= target) return std::ldexp(1.0, static_cast<int>(b));
+      }
+      return std::ldexp(1.0, static_cast<int>(buckets.size()) - 1);
     }
   };
 

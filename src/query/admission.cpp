@@ -17,15 +17,14 @@ std::size_t& AdmissionGate::shed_streak() const {
   return streaks[id_];
 }
 
-AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
-                                      const util::CancellationToken* cancel) {
+AdmissionVerdict AdmissionGate::admit() {
   // One relaxed load: the overload verdict is the cached result of the
   // last decision-epoch fold, never computed inline on the hot path.
   const bool overload = overload_cached_.load(std::memory_order_relaxed);
 
   if (overload && config_.shed_on_overload) {
     // Shed-fast posture: a latency overload sheds instead of degrading —
-    // queueing or admitting behind an already slow service only makes the
+    // admitting more work behind an already slow service only makes the
     // smoothed latency worse. Every probe_interval-th consecutive shed
     // decision per thread is admitted degraded as a half-open probe so
     // completions keep feeding the detector (recovery contract).
@@ -64,42 +63,16 @@ AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
     }
   }
 
-  switch (config_.policy) {
-    case AdmissionPolicy::kReject:
-      return AdmissionVerdict::kShed;
-    case AdmissionPolicy::kDegrade:
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
-      return AdmissionVerdict::kAdmittedDegraded;
-    case AdmissionPolicy::kQueue:
-      break;
+  if (config_.policy == AdmissionPolicy::kDegrade) {
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
+    return AdmissionVerdict::kAdmittedDegraded;
   }
-
-  // Queue-with-deadline: wait for a slot, polling the deadline/token. The
-  // condvar wakes on release(); the bounded wait keeps a cancelled or
-  // expired waiter from sleeping forever even if no slot ever frees.
-  std::unique_lock lock{queue_mutex_};
-  for (;;) {
-    if (util::should_stop(deadline, cancel)) {
-      return AdmissionVerdict::kTimedOut;
-    }
-    std::size_t current = in_flight_.load(std::memory_order_relaxed);
-    if (current < config_.max_in_flight &&
-        in_flight_.compare_exchange_strong(current, current + 1,
-                                           std::memory_order_acquire)) {
-      return overload_cached_.load(std::memory_order_relaxed)
-                 ? AdmissionVerdict::kAdmittedDegraded
-                 : AdmissionVerdict::kAdmitted;
-    }
-    slot_free_.wait_for(lock, std::chrono::microseconds{200});
-  }
+  return AdmissionVerdict::kShed;
 }
 
 void AdmissionGate::release() noexcept {
   if (config_.max_in_flight == 0) return;  // nothing was claimed
   in_flight_.fetch_sub(1, std::memory_order_release);
-  if (config_.policy == AdmissionPolicy::kQueue) {
-    slot_free_.notify_one();
-  }
 }
 
 void AdmissionGate::record_latency(double micros) noexcept {

@@ -2,22 +2,25 @@
 // path-query engine.
 //
 // Three cooperating mechanisms keep PathService answering within bounded
-// time when offered load exceeds capacity, instead of queueing without
-// limit or parking workers in expensive fallbacks:
+// time when offered load exceeds capacity, instead of parking workers in
+// expensive fallbacks:
 //
 //   AdmissionGate    a bounded in-flight limit with a configurable response
-//                    when the bound is hit: reject (shed immediately),
-//                    queue-with-deadline (wait for a slot, bounded by the
-//                    query's deadline), or degrade (admit, but flag the
-//                    query so the expensive fault-aware BFS fallback is
-//                    skipped and the answer is best-effort).
+//                    when the bound is hit: reject (shed immediately) or
+//                    degrade (admit, but flag the query so the expensive
+//                    fault-aware BFS fallback is skipped and the answer is
+//                    best-effort). The gate never blocks: it answers or
+//                    refuses at once. Queueing is the caller's job, done in
+//                    front of answer() (a bounded arrival queue, a
+//                    try_submit door, a client retry with backoff) — a
+//                    second queue behind the caller's would only hide the
+//                    overload from it.
 //   EWMA detector    an exponentially weighted moving average of answer
 //                    latency, folded into the gate: when the smoothed
 //                    latency crosses the configured threshold the service
 //                    is "overloaded" and admissions degrade — or, with
 //                    shed_on_overload, shed — regardless of in-flight
-//                    occupancy (waiting in a queue cannot fix a latency
-//                    overload; shedding work can).
+//                    occupancy.
 //   CircuitBreaker   a per-fault-epoch memory of repeatedly-disconnected
 //                    pairs: once a pair reports kDisconnected `threshold`
 //                    consecutive times within one fault epoch, further
@@ -27,7 +30,7 @@
 //                    hopeless full-graph sweeps that make hostile fault
 //                    sets so expensive.
 //
-// Shed-fast contract (PR 8): a rejected decision performs NO shared-memory
+// Shed-fast contract: a rejected decision performs NO shared-memory
 // writes. The in-flight bound is checked with a read + CAS claim that only
 // writes on successful admission; completion feedback lands in per-thread
 // util::StripedCounter cells and is folded into the EWMA on decision
@@ -50,14 +53,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
 
 #include "core/topology.hpp"
-#include "util/deadline.hpp"
 #include "util/striped.hpp"
 
 namespace hhc::query {
@@ -65,14 +66,12 @@ namespace hhc::query {
 /// What the gate does when the in-flight bound is reached.
 enum class AdmissionPolicy {
   kReject,   // shed the query immediately (outcome kShed)
-  kQueue,    // wait for a slot; the query's deadline bounds the wait
   kDegrade,  // admit anyway, but skip the expensive fault-aware fallback
 };
 
 [[nodiscard]] constexpr const char* to_string(AdmissionPolicy p) noexcept {
   switch (p) {
     case AdmissionPolicy::kReject: return "reject";
-    case AdmissionPolicy::kQueue: return "queue";
     case AdmissionPolicy::kDegrade: return "degrade";
   }
   return "?";
@@ -110,7 +109,6 @@ enum class AdmissionVerdict {
   kAdmitted,          // run the full query
   kAdmittedDegraded,  // run, but skip the fault-aware fallback
   kShed,              // rejected: bound hit / overload under shed_on_overload
-  kTimedOut,          // queued past the query's deadline / cancellation
 };
 
 /// The bounded in-flight gate + EWMA overload detector. Thread-safe; one
@@ -125,13 +123,9 @@ class AdmissionGate {
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
-  /// Decides one query's fate. A kShed verdict writes no shared memory.
-  /// Blocks only under the kQueue policy, and then only until a slot
-  /// frees, the deadline expires, or the token is cancelled. An unarmed
-  /// deadline under kQueue waits indefinitely for a slot (there is nothing
-  /// to time out against).
-  [[nodiscard]] AdmissionVerdict admit(const util::Deadline& deadline,
-                                       const util::CancellationToken* cancel);
+  /// Decides one query's fate at once; never blocks. A kShed verdict
+  /// writes no shared memory.
+  [[nodiscard]] AdmissionVerdict admit();
 
   /// Returns the slot taken by a successful admit(). No-op on an unlimited
   /// gate (no slot was ever claimed).
@@ -194,9 +188,6 @@ class AdmissionGate {
   mutable std::uint64_t folded_sum_ns_ = 0;
   mutable std::atomic<double> ewma_us_{0.0};
   mutable std::atomic<bool> overload_cached_{false};
-
-  std::mutex queue_mutex_;  // serializes kQueue waiters only
-  std::condition_variable slot_free_;
 };
 
 /// Per-fault-epoch short-circuit for repeatedly-disconnected pairs. The

@@ -12,8 +12,8 @@ namespace hhc::query {
 
 namespace {
 
-// Slot guard for an admitted query: every exit path (including a thrown
-// std::invalid_argument) must give the in-flight slot back.
+// Slot guard for an admitted query: every exit path (including an
+// exception) must give the in-flight slot back.
 struct SlotGuard {
   AdmissionGate& gate;
   ~SlotGuard() { gate.release(); }
@@ -22,22 +22,11 @@ struct SlotGuard {
 // Preallocated fast-path answers. A shed/expired query returns a COPY of
 // one of these: the paths vector is empty, so the copy allocates nothing,
 // and no per-query RouteResult state is ever built on the rejection path.
-const RouteResult& shed_result() {
-  static const RouteResult result = [] {
-    RouteResult r;
-    r.outcome = RouteOutcome::kShed;
-    return r;
-  }();
-  return result;
-}
-
-const RouteResult& timed_out_result() {
-  static const RouteResult result = [] {
-    RouteResult r;
-    r.outcome = RouteOutcome::kTimedOut;
-    return r;
-  }();
-  return result;
+const RouteResult& refused_result(RouteOutcome outcome) {
+  static const RouteResult shed{.paths = {}, .outcome = RouteOutcome::kShed};
+  static const RouteResult timed_out{.paths = {},
+                                     .outcome = RouteOutcome::kTimedOut};
+  return outcome == RouteOutcome::kShed ? shed : timed_out;
 }
 
 obs::Histogram& outcome_histogram(RouteOutcome outcome) {
@@ -65,30 +54,41 @@ PathService::PathService(const core::HhcTopology& net, PathServiceConfig config)
   if (config_.threads != 1) pool_.emplace(config_.threads);
 }
 
-void PathService::count_shed_fast(const PairQuery& query) noexcept {
+RouteOutcome PathService::admit(const PairQuery& query, bool& degraded) {
+  if (!net_.contains(query.s) || !net_.contains(query.t)) {
+    throw std::invalid_argument("PathService: node out of range");
+  }
+  // Shed-fast contract: the gate decides BEFORE any per-query work. A
+  // query that arrives already expired answers kTimedOut exactly once,
+  // here, without the gate ever seeing it; a refused query pays two
+  // thread-private striped bumps — no span, no clock read, no histogram,
+  // no cache or registry traffic.
+  RouteOutcome refused = RouteOutcome::kShed;
+  if (util::should_stop(query.deadline, query.cancel)) {
+    refused = RouteOutcome::kTimedOut;
+  } else if (const AdmissionVerdict verdict = gate_.admit();
+             verdict != AdmissionVerdict::kShed) {
+    degraded = verdict == AdmissionVerdict::kAdmittedDegraded;
+    return RouteOutcome::kOk;
+  }
   (query.faults == nullptr ? pristine_ : fault_aware_).add(1);
-  shed_.add(1);
+  (refused == RouteOutcome::kShed ? shed_ : timed_out_).add(1);
+  return refused;
 }
 
-void PathService::count_timed_out_fast(const PairQuery& query) noexcept {
-  (query.faults == nullptr ? pristine_ : fault_aware_).add(1);
-  timed_out_.add(1);
-}
-
-RouteResult PathService::finalize(const PairQuery& query, RouteResult result,
-                                  double micros) {
-  result.micros = micros;
+void PathService::finalize(const PairQuery& query, RouteOutcome outcome,
+                           DegradationLevel level, double micros) {
   latency_.record(micros);
-  outcome_histogram(result.outcome).record(micros);
+  outcome_histogram(outcome).record(micros);
 
   (query.faults == nullptr ? pristine_ : fault_aware_).add(1);
-  switch (result.outcome) {
+  switch (outcome) {
     case RouteOutcome::kOk:
       // Completed answers (and only those) feed the overload detector: a
       // shed query finishes in nanoseconds and would talk the EWMA out of
       // the very overload it is evidence of.
       gate_.record_latency(micros);
-      switch (result.level) {
+      switch (level) {
         case DegradationLevel::kGuaranteed:
           guaranteed_.fetch_add(1, std::memory_order_relaxed);
           break;
@@ -109,38 +109,19 @@ RouteResult PathService::finalize(const PairQuery& query, RouteResult result,
     case RouteOutcome::kShed:
       // Admitted work reported non-authoritative: breaker short-circuits
       // and degraded skip-fallback answers. Gate sheds never get here —
-      // they take the striped fast path in answer()/answer_view().
+      // they take the striped fast path in admit().
       shed_.add(1);
       break;
     case RouteOutcome::kInvalid:
       invalid_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  return result;
 }
 
 RouteResult PathService::answer(const PairQuery& query) {
-  // Shed-fast contract: the gate decides BEFORE any per-query work. A
-  // query that arrives already expired answers kTimedOut exactly once,
-  // here, without the gate (or a queue wait) ever seeing it; a gate-shed
-  // query pays two thread-private striped bumps and a copy of the
-  // preallocated result — no span, no clock read, no histogram, no cache
-  // or registry traffic.
-  if (util::should_stop(query.deadline, query.cancel)) {
-    count_timed_out_fast(query);
-    return timed_out_result();
-  }
-  const AdmissionVerdict verdict = gate_.admit(query.deadline, query.cancel);
-  if (verdict == AdmissionVerdict::kShed) {
-    count_shed_fast(query);
-    return shed_result();
-  }
-  if (verdict == AdmissionVerdict::kTimedOut) {
-    // Queued past the deadline: never dispatched, so no service time to
-    // report — same striped fast path as admission-time expiry.
-    count_timed_out_fast(query);
-    return timed_out_result();
-  }
+  bool degraded = false;
+  const RouteOutcome admission = admit(query, degraded);
+  if (admission != RouteOutcome::kOk) return refused_result(admission);
 
   SlotGuard guard{gate_};
   // Telemetry starts only once the query is admitted: latency_ and the
@@ -150,7 +131,6 @@ RouteResult PathService::answer(const PairQuery& query) {
   obs::TraceSpan span{obs::stages::kAnswer, &answer_hist};
   util::Stopwatch watch;
 
-  const bool degraded = verdict == AdmissionVerdict::kAdmittedDegraded;
   if (degraded) {
     degraded_admissions_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& degrades = obs::MetricRegistry::global().counter(
@@ -158,63 +138,31 @@ RouteResult PathService::answer(const PairQuery& query) {
     degrades.inc();
   }
   RouteResult result = answer_impl(query, degraded);
-  return finalize(query, std::move(result), watch.micros());
+  result.micros = watch.micros();
+  finalize(query, result.outcome, result.level, result.micros);
+  return result;
 }
 
 RouteView PathService::answer_view(const PairQuery& query) {
-  if (!net_.contains(query.s) || !net_.contains(query.t)) {
-    throw std::invalid_argument("PathService: node out of range");
-  }
   if (query.faults != nullptr) {
     throw std::invalid_argument(
         "PathService::answer_view: pristine-only (fault-aware queries must "
         "use answer())");
   }
-
-  // Same shed-fast ordering as answer(): refuse before any per-query work.
-  if (util::should_stop(query.deadline, query.cancel)) {
-    count_timed_out_fast(query);
-    RouteView view;
-    view.outcome = RouteOutcome::kTimedOut;
-    return view;
-  }
   // The zero-copy path goes through the same gate as answer(): under a
   // bounded in-flight config a data plane hammering views is exactly the
   // traffic the bound exists for. (Degraded admission is meaningless here —
   // there is no fallback to skip — so it collapses to plain admission.)
-  const AdmissionVerdict verdict = gate_.admit(query.deadline, query.cancel);
-  if (verdict == AdmissionVerdict::kShed) {
-    count_shed_fast(query);
-    RouteView view;
-    view.outcome = RouteOutcome::kShed;
-    return view;
-  }
-  if (verdict == AdmissionVerdict::kTimedOut) {
-    count_timed_out_fast(query);
-    RouteView view;
-    view.outcome = RouteOutcome::kTimedOut;
-    return view;
-  }
-  SlotGuard guard{gate_};
+  RouteView view;
+  bool degraded = false;
+  view.outcome = admit(query, degraded);
+  if (view.outcome != RouteOutcome::kOk) return view;
 
+  SlotGuard guard{gate_};
   static obs::Histogram& view_hist =
       obs::stage_histogram(obs::stages::kAnswerView);
   obs::TraceSpan span{obs::stages::kAnswerView, &view_hist};
   util::Stopwatch watch;
-  RouteView view;
-
-  // Stage boundary: a kQueue admission wait may have consumed the deadline;
-  // an expired query must not pay for a possible construction behind the
-  // cache lookup. This one was admitted, so it reports its service time.
-  if (util::should_stop(query.deadline, query.cancel)) {
-    view.outcome = RouteOutcome::kTimedOut;
-    view.micros = watch.micros();
-    latency_.record(view.micros);
-    outcome_histogram(view.outcome).record(view.micros);
-    pristine_.add(1);
-    timed_out_.add(1);
-    return view;
-  }
 
   view.level = DegradationLevel::kGuaranteed;
   if (query.s == query.t) {
@@ -229,28 +177,12 @@ RouteView PathService::answer_view(const PairQuery& query) {
         cache_.lookup(query.s, query.t, query.options, &view.cache_hit);
   }
   view.micros = watch.micros();
-  latency_.record(view.micros);
-  outcome_histogram(RouteOutcome::kOk).record(view.micros);
-  gate_.record_latency(view.micros);
-  pristine_.add(1);
-  guaranteed_.fetch_add(1, std::memory_order_relaxed);
+  finalize(query, view.outcome, view.level, view.micros);
   return view;
 }
 
 RouteResult PathService::answer_impl(const PairQuery& query, bool degraded) {
-  if (!net_.contains(query.s) || !net_.contains(query.t)) {
-    throw std::invalid_argument("PathService: node out of range");
-  }
-
   RouteResult result;
-  // Stage boundary: queries whose deadline expired during a queued
-  // admission wait answer kTimedOut without touching the cache. (Arriving
-  // already expired was handled before the gate in answer().)
-  if (util::should_stop(query.deadline, query.cancel)) {
-    result.outcome = RouteOutcome::kTimedOut;
-    return result;
-  }
-
   if (query.faults != nullptr) {
     if (breaker_.should_short_circuit(query.s, query.t)) {
       // The pair kept coming back disconnected this epoch; don't spend

@@ -85,15 +85,17 @@ class PathService {
 
   /// Answers one query. Thread-safe: any number of threads may call
   /// concurrently (this is what the batch API does internally). Throws
-  /// std::invalid_argument for out-of-range nodes. Overload behavior:
-  /// admission may shed the query (outcome kShed) or time it out while
-  /// queued (kTimedOut); an expired deadline is noticed at stage
-  /// boundaries, so completion never overruns the deadline by more than
-  /// one stage-check interval. Shed-fast contract: a query that arrives
-  /// already expired answers kTimedOut — exactly once, before the gate
-  /// ever sees it — and a gate-shed query returns a copy of a preallocated
-  /// result after bumping per-thread striped tallies only: no heap state,
-  /// no cache traffic, no histogram or registry update, no clock read.
+  /// std::invalid_argument for out-of-range nodes, before admission, so a
+  /// malformed query is never counted. Overload behavior: admission never
+  /// waits — it admits or sheds the query (outcome kShed) at once; callers
+  /// that want queueing queue in front of answer(). An expired deadline is
+  /// noticed at the fault-aware router's stage boundaries, so completion
+  /// never overruns the deadline by more than one stage-check interval.
+  /// Shed-fast contract: a query that arrives already expired answers
+  /// kTimedOut — exactly once, before the gate ever sees it — and a
+  /// gate-shed query returns a copy of a preallocated result after bumping
+  /// per-thread striped tallies only: no heap state, no cache traffic, no
+  /// histogram or registry update, no clock read.
   [[nodiscard]] RouteResult answer(const PairQuery& query);
 
   /// Answers a batch, fanned out over the service's thread pool. results[i]
@@ -144,16 +146,19 @@ class PathService {
   }
 
  private:
+  /// The admission prologue shared by answer() and answer_view(): throws
+  /// std::invalid_argument for out-of-range nodes, then refuses an
+  /// already-expired query (kTimedOut) or a gate shed (kShed) on the
+  /// striped fast path, tallying it once. Returns kOk when the query was
+  /// admitted — the caller then owns one gate slot — with `degraded` set
+  /// for a degraded admission.
+  [[nodiscard]] RouteOutcome admit(const PairQuery& query, bool& degraded);
   [[nodiscard]] RouteResult answer_impl(const PairQuery& query, bool degraded);
-  /// Shared exit path for ADMITTED queries: stamps micros, feeds the
-  /// histograms/EWMA, bumps the outcome and level counters. Shed/expired
-  /// queries never reach it — they take the striped fast paths below.
-  RouteResult finalize(const PairQuery& query, RouteResult result,
-                       double micros);
-  /// The striped fast-path tallies: one thread-private cell bump per
-  /// counter, no shared cache-line writes (see util/striped.hpp).
-  void count_shed_fast(const PairQuery& query) noexcept;
-  void count_timed_out_fast(const PairQuery& query) noexcept;
+  /// The telemetry epilogue for ADMITTED queries: feeds the histograms and
+  /// the EWMA, and bumps the outcome and level counters. Refused queries
+  /// never reach it.
+  void finalize(const PairQuery& query, RouteOutcome outcome,
+                DegradationLevel level, double micros);
 
   const core::HhcTopology& net_;
   PathServiceConfig config_;
@@ -177,7 +182,7 @@ class PathService {
   std::atomic<std::uint64_t> invalid_{0};
   std::atomic<std::uint64_t> degraded_admissions_{0};
   std::atomic<std::uint64_t> breaker_short_circuits_{0};
-  LatencyHistogram latency_;
+  obs::Histogram latency_;
 };
 
 }  // namespace hhc::query

@@ -12,7 +12,7 @@ namespace {
 
 // Percentile for rendering: empty snapshots print 0 instead of throwing
 // (a freshly constructed service must still render a stats row).
-double pct(const LatencyHistogram::Snapshot& latency, double p) {
+double pct(const obs::Histogram::Snapshot& latency, double p) {
   return latency.count == 0 ? 0.0 : latency.percentile(p);
 }
 
@@ -42,7 +42,7 @@ std::vector<core::StatRow> ServiceStats::rows() const {
 
   rows.push_back(core::stat_dist("latency", "answer_us", latency.count,
                                  pct(latency, 0.50), pct(latency, 0.90),
-                                 pct(latency, 0.99), latency.max_micros));
+                                 pct(latency, 0.99), latency.max_value));
 
   std::vector<core::StatRow> cache_rows = cache.rows();
   rows.insert(rows.end(), std::make_move_iterator(cache_rows.begin()),
@@ -78,7 +78,7 @@ void ServiceStats::print(std::ostream& os) const {
       .add(static_cast<std::uint64_t>(cache.evictions))
       .add(pct(latency, 0.50), 1)
       .add(pct(latency, 0.99), 1)
-      .add(latency.max_micros, 1);
+      .add(latency.max_value, 1);
   table.print(os, "path service: " + std::to_string(cache.shards.size()) +
                       " cache shards, " + std::to_string(pristine) +
                       " pristine + " + std::to_string(fault_aware) +

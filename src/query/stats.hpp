@@ -1,21 +1,15 @@
 // Built-in observability for the path-query engine.
 //
-// LatencyHistogram is now a thin microsecond-flavored wrapper over
-// obs::Histogram (the process-wide metrics layer grew out of it): a fixed
-// array of lock-free power-of-two microsecond buckets (bucket b counts
-// latencies in [2^(b-1), 2^b) µs, bucket 0 the sub-microsecond ones), so
-// recording on the hot query path is one relaxed fetch_add and never blocks
-// a concurrent reader. Percentiles are read off the bucket boundaries —
-// upper edge, i.e. conservative — which is the right fidelity for "is p99 a
-// microsecond or a millisecond" dashboards. Percentile error semantics
-// match sim::percentile: out-of-range p or an empty snapshot THROW
-// std::invalid_argument (callers render "0" for empty snapshots
-// explicitly), and p = 0 reports the first non-empty bucket's edge instead
-// of a phantom 1 µs.
+// The service's answer-latency distribution is an obs::Histogram (µs): a
+// fixed array of lock-free power-of-two buckets, so recording on the hot
+// query path is one relaxed fetch_add and never blocks a concurrent reader.
+// Percentiles read off upper bucket edges and follow sim::percentile's
+// error semantics (see obs/metrics.hpp); the renderers below print 0 for
+// an empty snapshot instead of throwing.
 //
-// Latency semantics (PR 8): the histogram measures POST-ADMISSION service
-// time. Gate-shed queries and admission-time deadline expiries never touch
-// it — the shed-fast path records nothing but per-thread striped outcome
+// Latency semantics: the histogram measures POST-ADMISSION service time.
+// Gate-shed queries and admission-time deadline expiries never touch it —
+// the shed-fast path records nothing but per-thread striped outcome
 // tallies — so under overload the distribution describes the work actually
 // performed, not a blur of sub-microsecond rejections.
 //
@@ -34,38 +28,6 @@
 #include "obs/metrics.hpp"
 
 namespace hhc::query {
-
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = obs::Histogram::kBuckets;
-
-  struct Snapshot {
-    std::vector<std::uint64_t> buckets;  // kBuckets power-of-two µs bins
-    std::uint64_t count = 0;
-    double max_micros = 0.0;
-
-    /// Upper bucket edge (µs) below which a `p` fraction of samples fall;
-    /// p = 0 is the first non-empty bucket's edge. Throws
-    /// std::invalid_argument when the snapshot is empty or p is outside
-    /// [0, 1] — same contract as sim::percentile.
-    [[nodiscard]] double percentile(double p) const {
-      return obs::bucket_percentile(buckets, count, p);
-    }
-  };
-
-  /// Thread-safe, wait-free; NaN/negative samples clamp to bucket 0.
-  void record(double micros) noexcept { histogram_.record(micros); }
-
-  [[nodiscard]] Snapshot snapshot() const {
-    obs::Histogram::Snapshot snap = histogram_.snapshot();
-    return Snapshot{std::move(snap.buckets), snap.count, snap.max_value};
-  }
-
-  void reset() noexcept { histogram_.reset(); }
-
- private:
-  obs::Histogram histogram_;
-};
 
 /// Point-in-time service telemetry; see PathService::stats().
 struct ServiceStats {
@@ -97,7 +59,7 @@ struct ServiceStats {
 
   core::CacheStats cache;           // aggregate + per-shard counters
 
-  LatencyHistogram::Snapshot latency;
+  obs::Histogram::Snapshot latency;  // answer_us, post-admission
 
   /// The process-wide obs::MetricRegistry, captured at the same stats()
   /// read so one snapshot carries every telemetry surface.

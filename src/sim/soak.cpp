@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <ostream>
+#include <thread>
 #include <vector>
 
 #include "core/fault_model.hpp"
 #include "core/io.hpp"
 #include "core/topology.hpp"
 #include "query/path_service.hpp"
+#include "sim/resilient.hpp"
 #include "sim/stats.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -22,6 +25,13 @@ namespace {
 // One arrival's fate, written by exactly one task (or the generator, for
 // door sheds and hostile queries) — indexed slots, no locking.
 enum class SlotState : std::uint8_t { kPending, kCompleted, kDoorShed };
+
+// Closed-loop retry of a shed query: attempt k (k >= 1) waits a seeded
+// jittered_wait() of kBackoffBaseNs << k first, up to kMaxAttempts in all.
+// The query's deadline covers the retries: one that expires while backing
+// off answers kTimedOut and ends them.
+constexpr std::size_t kMaxAttempts = 8;
+constexpr std::uint64_t kBackoffBaseNs = 10'000;
 
 struct Slot {
   std::atomic<SlotState> state{SlotState::kPending};
@@ -70,7 +80,6 @@ core::FaultModel build_schedule(const core::HhcTopology& net,
 }  // namespace
 
 SoakReport run_soak(const SoakConfig& config) {
-  const util::Stopwatch wall;
   const core::HhcTopology net{config.m};
   const core::Node hostile = net.node_count() - 1;
   constexpr core::Node kAnchor = 0;
@@ -92,6 +101,9 @@ SoakReport run_soak(const SoakConfig& config) {
   for (std::uint64_t e = 0; e < config.epochs; ++e) {
     if (e > 0) service.advance_fault_epoch();
     const std::size_t base = e * per_epoch;
+    // wall_seconds covers the traffic phases only: not the topology build,
+    // the thread-pool spawn, or the per-epoch bookkeeping below.
+    const util::Stopwatch traffic;
 
     SoakEpoch row;
     row.epoch = e;
@@ -103,8 +115,10 @@ SoakReport run_soak(const SoakConfig& config) {
       // the RNG exactly like the open-loop generator — two draws per
       // query), then let `workers` fixed streams race an index counter,
       // each issuing its next query only when the previous one completed.
-      // Deadlines are armed at issue time: a closed-loop query's budget
-      // starts when it is issued, not when the epoch was generated.
+      // A shed stream backs off and retries the same query, so goodput
+      // counts distinct completed queries, not how fast shedders drain the
+      // list. Deadlines are armed at issue time: a closed-loop query's
+      // budget starts when it is issued, not when the epoch was generated.
       std::vector<std::pair<core::Node, core::Node>> pairs(
           config.queries_per_epoch);
       for (auto& [s, t] : pairs) {
@@ -115,7 +129,8 @@ SoakReport run_soak(const SoakConfig& config) {
       const std::size_t streams = std::max<std::size_t>(1, config.workers);
       for (std::size_t w = 0; w < streams; ++w) {
         pool.submit([&service, &model, &pairs, &next, &slots, &config, base,
-                     e] {
+                     e, w] {
+          util::Xoshiro256 backoff{config.seed ^ (e << 32) ^ (w + 1)};
           for (;;) {
             const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= pairs.size()) return;
@@ -127,7 +142,16 @@ SoakReport run_soak(const SoakConfig& config) {
             if (config.deadline_us > 0.0) {
               query.deadline = util::Deadline::after_micros(config.deadline_us);
             }
-            record(slots[base + i], service.answer(query), query.deadline);
+            query::RouteResult result = service.answer(query);
+            for (std::size_t attempt = 1;
+                 result.outcome == query::RouteOutcome::kShed &&
+                 attempt < kMaxAttempts;
+                 ++attempt) {
+              std::this_thread::sleep_for(std::chrono::nanoseconds{
+                  jittered_wait(kBackoffBaseNs << attempt, backoff)});
+              result = service.answer(query);
+            }
+            record(slots[base + i], result, query.deadline);
           }
         });
       }
@@ -173,6 +197,7 @@ SoakReport run_soak(const SoakConfig& config) {
     }
 
     pool.wait_idle();  // epoch barrier: the next epoch is a new fault world
+    report.wall_seconds += traffic.seconds();
 
     std::vector<std::uint64_t> latencies;
     latencies.reserve(per_epoch);
@@ -233,7 +258,6 @@ SoakReport run_soak(const SoakConfig& config) {
   const query::ServiceStats stats = service.stats();
   report.breaker_trips = stats.breaker_trips;
   report.breaker_short_circuits = stats.breaker_short_circuits;
-  report.wall_seconds = wall.seconds();
   return report;
 }
 

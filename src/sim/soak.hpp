@@ -15,8 +15,11 @@
 //   * closed-loop (config.closed_loop): a fixed set of `workers` streams
 //     each issue the next query only when the previous one completes, so
 //     offered load self-regulates to the service's capacity (door_shed
-//     stays 0 by construction) and report.goodput_qps() measures the
-//     sustainable completion rate — the F6b goodput-plateau curve.
+//     stays 0 by construction). A shed query is retried after a seeded,
+//     jittered exponential backoff (sim::jittered_wait; 8 attempts at
+//     most, the query's deadline covering them all), so
+//     report.goodput_qps() counts distinct completed queries per second of
+//     traffic — the F6b goodput-plateau curve.
 //
 // Both modes consume the seeded RNG identically (two draws per pool
 // query), so the query stream for a given seed is the same stream.
@@ -78,7 +81,7 @@ struct SoakEpoch {
   std::size_t door_shed = 0;       // refused by the bounded arrival queue
   std::size_t ok = 0;              // outcome kOk (any degradation level)
   std::size_t shed = 0;            // service-side kShed (gate / breaker)
-  std::size_t timed_out = 0;       // kTimedOut (queued or in flight)
+  std::size_t timed_out = 0;       // kTimedOut (on arrival or in flight)
   std::size_t disconnected = 0;    // authoritative kOk + kDisconnected
   double p50_us = 0.0;             // over completed queries only
   double p99_us = 0.0;
@@ -106,6 +109,8 @@ struct SoakReport {
   double max_overrun_us = 0.0;   // worst completion past its own deadline
   std::uint64_t breaker_trips = 0;
   std::uint64_t breaker_short_circuits = 0;
+  /// Summed traffic phases of the epochs (from the first arrival to the
+  /// epoch barrier); excludes the topology build and the pool spawn.
   double wall_seconds = 0.0;
 
   /// Mean ok-rate over epochs with / without an active fault — recovery
@@ -113,9 +118,9 @@ struct SoakReport {
   double faulted_ok_rate = 0.0;
   double healed_ok_rate = 0.0;
 
-  /// Completed-OK answers per wall second — the goodput a closed-loop run
-  /// sustains (also meaningful for open-loop runs, where it additionally
-  /// reflects door/gate shedding).
+  /// Completed-OK answers per second of traffic — the goodput a
+  /// closed-loop run sustains (also meaningful for open-loop runs, where it
+  /// additionally reflects door/gate shedding).
   [[nodiscard]] double goodput_qps() const noexcept {
     return wall_seconds <= 0.0 ? 0.0
                                : static_cast<double>(ok) / wall_seconds;

@@ -5,18 +5,14 @@
 #include <vector>
 
 #include "query/admission.hpp"
-#include "util/deadline.hpp"
 
 namespace hhc::query {
 namespace {
 
-using util::CancellationToken;
-using util::Deadline;
-
 TEST(AdmissionGate, DefaultConfigAdmitsEverything) {
   AdmissionGate gate{AdmissionConfig{}};
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+    EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
   }
   // No release() calls needed: the unlimited gate never claimed a slot.
   EXPECT_FALSE(gate.overloaded());
@@ -28,13 +24,13 @@ TEST(AdmissionGate, RejectPolicyShedsBeyondTheBound) {
   config.policy = AdmissionPolicy::kReject;
   AdmissionGate gate{config};
 
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
   EXPECT_EQ(gate.in_flight(), 2u);
 
   gate.release();
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
   gate.release();
   gate.release();
   EXPECT_EQ(gate.in_flight(), 0u);
@@ -46,60 +42,12 @@ TEST(AdmissionGate, DegradePolicyAdmitsDegradedBeyondTheBound) {
   config.policy = AdmissionPolicy::kDegrade;
   AdmissionGate gate{config};
 
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr),
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(),
             AdmissionVerdict::kAdmittedDegraded);
   EXPECT_EQ(gate.in_flight(), 2u);  // degraded admissions still hold slots
   gate.release();
   gate.release();
-}
-
-TEST(AdmissionGate, QueuePolicyTimesOutOnExpiredDeadline) {
-  AdmissionConfig config;
-  config.max_in_flight = 1;
-  config.policy = AdmissionPolicy::kQueue;
-  AdmissionGate gate{config};
-
-  ASSERT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-  // The slot is taken and the deadline has already passed: the queued
-  // admit must give up rather than wait forever.
-  EXPECT_EQ(gate.admit(Deadline::after_micros(0.0), nullptr),
-            AdmissionVerdict::kTimedOut);
-  gate.release();
-}
-
-TEST(AdmissionGate, QueuePolicyHonorsCancellation) {
-  AdmissionConfig config;
-  config.max_in_flight = 1;
-  config.policy = AdmissionPolicy::kQueue;
-  AdmissionGate gate{config};
-  ASSERT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-
-  CancellationToken token;
-  token.cancel();
-  EXPECT_EQ(gate.admit(Deadline{}, &token), AdmissionVerdict::kTimedOut);
-  gate.release();
-}
-
-TEST(AdmissionGate, QueuePolicyGetsTheSlotWhenReleased) {
-  AdmissionConfig config;
-  config.max_in_flight = 1;
-  config.policy = AdmissionPolicy::kQueue;
-  AdmissionGate gate{config};
-  ASSERT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-
-  std::atomic<bool> admitted{false};
-  std::thread waiter{[&] {
-    // Unarmed deadline: waits however long the release takes.
-    const AdmissionVerdict verdict = gate.admit(Deadline{}, nullptr);
-    EXPECT_EQ(verdict, AdmissionVerdict::kAdmitted);
-    admitted.store(true);
-    gate.release();
-  }};
-  gate.release();  // frees the slot; the waiter must take it
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(gate.in_flight(), 0u);
 }
 
 TEST(AdmissionGate, EwmaTracksLatencyAndFlagsOverload) {
@@ -118,12 +66,12 @@ TEST(AdmissionGate, EwmaTracksLatencyAndFlagsOverload) {
   EXPECT_TRUE(gate.overloaded());
 
   // Overload degrades admission even though no in-flight bound is set.
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr),
+  EXPECT_EQ(gate.admit(),
             AdmissionVerdict::kAdmittedDegraded);
 
   gate.record_latency(1.0);
   EXPECT_FALSE(gate.overloaded());
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
 }
 
 TEST(AdmissionGate, EwmaSmoothingFollowsAlpha) {
@@ -155,7 +103,7 @@ TEST(AdmissionGate, ConcurrentAdmitsNeverExceedTheBound) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kRounds; ++i) {
-        if (gate.admit(Deadline{}, nullptr) != AdmissionVerdict::kAdmitted) {
+        if (gate.admit() != AdmissionVerdict::kAdmitted) {
           continue;
         }
         const std::size_t now = active.fetch_add(1) + 1;
@@ -184,19 +132,19 @@ TEST(AdmissionGate, ShedOnOverloadShedsAndProbesReopenTheGate) {
   AdmissionGate gate{config};
 
   // Healthy gate admits normally (not degraded).
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
 
   gate.record_latency(1000.0);
   ASSERT_TRUE(gate.overloaded());
 
   // Overloaded + shed_on_overload: decisions shed instead of degrading...
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
   // ...except every probe_interval-th consecutive shed decision, which is
   // admitted degraded as the half-open probe. This is the recovery path:
   // without it a 100%-shedding gate would never see another completion.
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr),
+  EXPECT_EQ(gate.admit(),
             AdmissionVerdict::kAdmittedDegraded);
   gate.release();
 
@@ -204,7 +152,7 @@ TEST(AdmissionGate, ShedOnOverloadShedsAndProbesReopenTheGate) {
   // alone — no overloaded() read in between, pinning the eager fold on the
   // completion path while the overload flag is set.
   gate.record_latency(1.0);
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
   EXPECT_FALSE(gate.overloaded());
 }
 
@@ -218,7 +166,7 @@ TEST(AdmissionGate, ProbeIntervalZeroDisablesProbing) {
   gate.record_latency(1000.0);
   ASSERT_TRUE(gate.overloaded());
   for (int i = 0; i < 256; ++i) {
-    EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
+    EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
   }
 }
 

@@ -30,7 +30,6 @@ namespace hhc::query {
 namespace {
 
 using core::HhcTopology;
-using util::Deadline;
 
 // One seeded mixed run against a bare gate: every thread admits with its
 // own RNG-driven think pattern and releases every slot it was granted.
@@ -44,7 +43,7 @@ std::uint64_t hammer_gate(AdmissionGate& gate, std::size_t threads,
     workers.emplace_back([&, t] {
       util::Xoshiro256 rng{seed + t};
       for (int i = 0; i < rounds; ++i) {
-        const AdmissionVerdict verdict = gate.admit(Deadline{}, nullptr);
+        const AdmissionVerdict verdict = gate.admit();
         if (verdict == AdmissionVerdict::kAdmitted ||
             verdict == AdmissionVerdict::kAdmittedDegraded) {
           admitted.fetch_add(1, std::memory_order_relaxed);
@@ -98,7 +97,7 @@ TEST(AdmissionConcurrent, NoLeakedCreditsOnTheProbePath) {
   for (std::size_t t = 0; t < 8; ++t) {
     workers.emplace_back([&] {
       for (int i = 0; i < 2000; ++i) {
-        const AdmissionVerdict verdict = gate.admit(Deadline{}, nullptr);
+        const AdmissionVerdict verdict = gate.admit();
         if (verdict == AdmissionVerdict::kAdmitted ||
             verdict == AdmissionVerdict::kAdmittedDegraded) {
           // Keep the gate overloaded: probes report slow completions.

@@ -264,18 +264,18 @@ TEST(ContainerCache, TranslatedPairsShareOneFlatContainer) {
   EXPECT_EQ(other.materialize().paths, node_disjoint_paths(net, s2, t2).paths);
 }
 
-TEST(ContainerCache, PublicationKnobsClampAndStayCorrect) {
-  // The publication knobs shape index growth, never results: a pre-sized
-  // index (initial_index_capacity) and out-of-range load ceilings (clamped
-  // into (10, 90]) must serve the same answers and the same entry counts
-  // as the defaults across repeated grow-republish cycles.
+TEST(ContainerCache, IndexRegrowsKeepAnswersAndSize) {
+  // Index growth shapes publication, never results: a single-shard cache
+  // regrows its index many times on the way to a few hundred entries, and a
+  // capped shard pre-sizes its index from max_entries_per_shard and never
+  // grows. Both must serve the same answers and the same entry counts as
+  // the default cache across the grow-republish cycles.
   const HhcTopology net{3};
-  const auto pairs = sample_pairs(net, 48, 0xC0FFEE);
+  const auto pairs = sample_pairs(net, 300, 0xC0FFEE);
 
   ContainerCache::Config configs[] = {
-      {.shards = 1, .initial_index_capacity = 1024},  // no early grows
-      {.shards = 1, .initial_index_capacity = 1, .max_load_percent = 200},
-      {.shards = 1, .max_load_percent = 1},  // clamps to 10: grow-heavy
+      {.shards = 1},                                // grow-heavy
+      {.shards = 1, .max_entries_per_shard = 1024}, // pre-sized, no grows
   };
   ContainerCache reference{net};
   for (auto& config : configs) {
@@ -285,6 +285,7 @@ TEST(ContainerCache, PublicationKnobsClampAndStayCorrect) {
                 reference.lookup(s, t).materialize().paths);
     }
     EXPECT_EQ(cache.size(), reference.size());
+    EXPECT_EQ(cache.stats().evictions, 0u);
     bool hit = false;
     (void)cache.lookup(pairs[0].s, pairs[0].t, cache.options(), &hit);
     EXPECT_TRUE(hit);

@@ -2,7 +2,7 @@
 // the exact power-of-two bucket geometry (bucket b = [2^(b-1), 2^b)) and the
 // percentile semantics that PR'd alongside the telemetry fixes: p = 0 skips
 // empty leading buckets, out-of-range p and empty histograms throw — the
-// pre-obs LatencyHistogram silently reported 1µs for both. The concurrent
+// pre-obs latency histogram silently reported 1µs for both. The concurrent
 // tests run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 

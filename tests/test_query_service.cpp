@@ -66,6 +66,38 @@ TEST(PathService, OutOfRangeNodesThrow) {
                std::invalid_argument);
 }
 
+TEST(PathService, MalformedQueriesAreRejectedBeforeAdmission) {
+  // Node validation comes before the expiry check and the gate: a bad
+  // query is never answered kTimedOut or kShed. Singles throw uncounted;
+  // batch elements answer kInvalid.
+  const HhcTopology net{2};
+  PathServiceConfig config;
+  config.admission.ewma_alpha = 1.0;
+  config.admission.overload_latency_us = 1e-3;  // any completion overloads
+  config.admission.shed_on_overload = true;
+  config.admission.probe_interval = 0;  // the gate sheds every query
+  PathService service{net, config};
+  (void)service.answer(PairQuery{.s = 0, .t = 60});
+  ASSERT_TRUE(service.gate().overloaded());
+  service.reset_stats();
+
+  PairQuery expired{.s = 0, .t = net.node_count()};
+  expired.deadline = util::Deadline::after_micros(0.0);
+  const PairQuery shed{.s = net.node_count(), .t = 0};
+  EXPECT_THROW((void)service.answer(expired), std::invalid_argument);
+  EXPECT_THROW((void)service.answer(shed), std::invalid_argument);
+  EXPECT_EQ(service.stats().queries, 0u);
+
+  const std::vector<PairQuery> batch{expired, shed};
+  for (const RouteResult& result : service.answer(batch)) {
+    EXPECT_EQ(result.outcome, RouteOutcome::kInvalid);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queries, 2u);
+  EXPECT_EQ(stats.invalid, 2u);
+  EXPECT_EQ(stats.timed_out + stats.shed, 0u);
+}
+
 TEST(PathService, FaultAwareAnswersMatchTheAdaptiveRouter) {
   const HhcTopology net{2};
   PathService service{net};
@@ -217,26 +249,29 @@ TEST(PathService, StatsCountQueriesLevelsAndLatency) {
   EXPECT_EQ(stats.guaranteed + stats.best_effort + stats.disconnected,
             stats.queries);
   EXPECT_EQ(stats.latency.count, stats.queries);
-  EXPECT_GT(stats.latency.max_micros, 0.0);
+  EXPECT_GT(stats.latency.max_value, 0.0);
   EXPECT_GE(stats.latency.percentile(0.99), stats.latency.percentile(0.50));
   // Every non-self query performs one cache lookup: 40 pristine + 1 via the
   // router's shared-cache container fetch.
   EXPECT_EQ(stats.cache.hits + stats.cache.misses, 41u);
 }
 
-TEST(LatencyHistogram, PercentileSkipsEmptyLeadingBuckets) {
+// ServiceLatency pins the semantics of the histogram PathService records
+// its service times into (obs::Histogram, reported in microseconds as
+// ServiceStats::latency).
+TEST(ServiceLatency, PercentileSkipsEmptyLeadingBuckets) {
   // The pre-obs implementation computed target = ceil(p * count), which is
   // 0 at p = 0 — "satisfied" by the empty bucket 0, reporting a phantom
-  // 1µs. The rewrapped histogram skips empty leading buckets.
-  LatencyHistogram latency;
+  // 1µs. The histogram skips empty leading buckets.
+  obs::Histogram latency;
   latency.record(100.0);  // bucket [64, 128)
   const auto snap = latency.snapshot();
   EXPECT_EQ(snap.percentile(0.0), 128.0);
   EXPECT_EQ(snap.percentile(1.0), 128.0);
 }
 
-TEST(LatencyHistogram, ErrorSemanticsMatchSimPercentile) {
-  LatencyHistogram latency;
+TEST(ServiceLatency, ErrorSemanticsMatchSimPercentile) {
+  obs::Histogram latency;
   // Empty histograms and out-of-range p throw, exactly like
   // sim::percentile, instead of silently returning a bogus 0 or 1.
   EXPECT_THROW((void)latency.snapshot().percentile(0.5),
@@ -247,8 +282,8 @@ TEST(LatencyHistogram, ErrorSemanticsMatchSimPercentile) {
   EXPECT_THROW((void)snap.percentile(1.5), std::invalid_argument);
 }
 
-TEST(LatencyHistogram, SubMicrosecondAndHugeSamples) {
-  LatencyHistogram latency;
+TEST(ServiceLatency, SubMicrosecondAndHugeSamples) {
+  obs::Histogram latency;
   latency.record(0.25);   // bucket 0
   latency.record(-3.0);   // clamps to bucket 0, ignored for max
   latency.record(1e30);   // saturates the top bucket
@@ -256,7 +291,7 @@ TEST(LatencyHistogram, SubMicrosecondAndHugeSamples) {
   EXPECT_EQ(snap.count, 3u);
   EXPECT_EQ(snap.buckets.front(), 2u);
   EXPECT_EQ(snap.buckets.back(), 1u);
-  EXPECT_EQ(snap.max_micros, 1e30);
+  EXPECT_EQ(snap.max_value, 1e30);
   EXPECT_EQ(snap.percentile(0.5), 1.0);  // bucket 0's upper edge
 }
 
@@ -421,7 +456,7 @@ TEST(PathService, NoDeadlineAnswersAreBitIdenticalToTheUnlimitedService) {
   const HhcTopology net{2};
   PathService plain{net};
   PathService gated{net, {.admission = {.max_in_flight = 64,
-                                        .policy = AdmissionPolicy::kQueue,
+                                        .policy = AdmissionPolicy::kReject,
                                         .breaker_threshold = 8}}};
   for (const auto& [s, t] : core::sample_pairs(net, 150, 66)) {
     const auto expected = plain.answer(PairQuery{.s = s, .t = t});
