@@ -6,27 +6,38 @@
 // google-benchmark measures both on the same random pair streams; the
 // closing tables print the per-pair speedup, including the arena-backed
 // zero-allocation hot path (node_disjoint_paths with a ConstructionScratch)
-// against the legacy copying entry point.
+// against the legacy copying entry point. The fill table times the same
+// distinct keys twice: constructed directly, and looked up through a fresh
+// default (unbounded) ContainerCache, whose per-miss publication must stay
+// a small constant on top of the construction however large the cache
+// grows.
 //
 // `--smoke` runs a seconds-long subset (no google-benchmark registry, no
 // m=4 max flow) — enough for CI to catch a structural perf regression.
-// Both modes write machine-readable results to BENCH_construction.json;
+// Both modes write machine-readable results, stamped with the git sha,
+// core count, CPU, compiler and build type, to BENCH_construction.json;
 // REPRODUCING.md describes the baseline-comparison workflow.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "baseline/maxflow_paths.hpp"
+#include "core/container_cache.hpp"
 #include "core/disjoint.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -125,11 +136,130 @@ ConstructionRow measure_construction(unsigned m, std::size_t pair_count,
   return row;
 }
 
-void emit_json(const std::vector<ConstructionRow>& rows, bool smoke) {
+struct FillRow {
+  unsigned m = 0;
+  std::size_t keys = 0;
+  double construct_us = 0.0;  // node_disjoint_paths (arena), per key
+  double fill_us = 0.0;       // lookup() into a fresh default cache, per key
+};
+
+// Up to `requested` pairs with distinct canonical cache keys (source in
+// cluster 0); every key of the space when it is smaller.
+std::vector<core::PairSample> distinct_key_pairs(const core::HhcTopology& net,
+                                                 std::size_t requested) {
+  const std::uint64_t positions = net.cluster_size();
+  const std::uint64_t space =
+      net.cluster_count() * positions * positions - positions;  // minus s == t
+  std::vector<core::PairSample> pairs;
+  if (space <= requested) {
+    for (std::uint64_t x = 0; x < net.cluster_count(); ++x) {
+      for (std::uint64_t ys = 0; ys < positions; ++ys) {
+        for (std::uint64_t yt = 0; yt < positions; ++yt) {
+          if (x == 0 && ys == yt) continue;
+          pairs.push_back({net.encode(0, ys), net.encode(x, yt)});
+        }
+      }
+    }
+    return pairs;
+  }
+  util::Xoshiro256 rng{0xF111 + net.m()};
+  std::unordered_set<core::Node> seen;
+  pairs.reserve(requested);
+  while (pairs.size() < requested) {
+    const core::Node s = net.encode(0, rng.below(positions));
+    const core::Node t =
+        net.encode(rng.below(net.cluster_count()), rng.below(positions));
+    if (s == t || !seen.insert(s * net.node_count() + t).second) continue;
+    pairs.push_back({s, t});
+  }
+  return pairs;
+}
+
+// Per-key cost of filling an unbounded cache against constructing the same
+// keys directly; best of `reps` alternating passes for each column.
+FillRow measure_fill(unsigned m, std::size_t requested, std::size_t reps) {
+  const core::HhcTopology net{m};
+  const auto pairs = distinct_key_pairs(net, requested);
+  auto& scratch = core::tls_construction_scratch();
+  for (std::size_t i = 0; i < std::min<std::size_t>(pairs.size(), 256); ++i) {
+    const auto set =
+        core::node_disjoint_paths(net, pairs[i].s, pairs[i].t, {}, scratch);
+    benchmark::DoNotOptimize(set.paths.data());
+  }
+  FillRow row;
+  row.m = m;
+  row.keys = pairs.size();
+  const double n = static_cast<double>(pairs.size());
+  row.construct_us = std::numeric_limits<double>::infinity();
+  row.fill_us = std::numeric_limits<double>::infinity();
+  util::Stopwatch sw;
+  for (std::size_t r = 0; r < reps; ++r) {
+    sw.reset();
+    for (const auto& [s, t] : pairs) {
+      const auto set = core::node_disjoint_paths(net, s, t, {}, scratch);
+      benchmark::DoNotOptimize(set.paths.data());
+    }
+    row.construct_us = std::min(row.construct_us, sw.micros() / n);
+
+    core::ContainerCache cache{net};
+    sw.reset();
+    for (const auto& [s, t] : pairs) {
+      benchmark::DoNotOptimize(cache.lookup(s, t).path_count());
+    }
+    row.fill_us = std::min(row.fill_us, sw.micros() / n);
+  }
+  return row;
+}
+
+std::string cpu_model() {
+  std::ifstream in{"/proc/cpuinfo"};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+// Standard output of a shell command, trailing whitespace trimmed.
+std::string command_output(const char* command) {
+  std::string out;
+  if (FILE* pipe = popen(command, "r")) {
+    char buffer[256];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) out += buffer;
+    pclose(pipe);
+  }
+  while (!out.empty() && std::isspace(static_cast<unsigned char>(out.back()))) {
+    out.pop_back();
+  }
+  return out;
+}
+
+// The checkout's commit when run from inside a git work tree, marked
+// "-dirty" when tracked files differ from it.
+std::string git_sha() {
+  const std::string sha = command_output("git rev-parse HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  const bool dirty = !command_output(
+      "git status --porcelain --untracked-files=no 2>/dev/null").empty();
+  return dirty ? sha + "-dirty" : sha;
+}
+
+void emit_json(const std::vector<ConstructionRow>& rows,
+               const std::vector<FillRow>& fills, bool smoke) {
   core::JsonWriter json;
   json.begin_object()
       .key("bench").value("construction")
       .key("mode").value(smoke ? "smoke" : "full")
+      .key("provenance").begin_object()
+      .key("git_sha").value(git_sha())
+      .key("nproc").value(std::uint64_t{std::thread::hardware_concurrency()})
+      .key("cpu").value(cpu_model())
+      .key("compiler").value(HHC_BENCH_COMPILER)
+      .key("build_type").value(HHC_BENCH_BUILD_TYPE)
+      .end_object()
       .key("results").begin_array();
   for (const ConstructionRow& row : rows) {
     json.begin_object()
@@ -138,6 +268,16 @@ void emit_json(const std::vector<ConstructionRow>& rows, bool smoke) {
         .key("arena_us_per_pair").value(row.arena_us)
         .key("arena_pairs_per_s").value(1e6 / row.arena_us)
         .key("arena_speedup").value(row.legacy_us / row.arena_us)
+        .end_object();
+  }
+  json.end_array().key("fill").begin_array();
+  for (const FillRow& row : fills) {
+    json.begin_object()
+        .key("m").value(static_cast<std::uint64_t>(row.m))
+        .key("keys").value(std::uint64_t{row.keys})
+        .key("construct_us_per_pair").value(row.construct_us)
+        .key("fill_us_per_pair").value(row.fill_us)
+        .key("fill_over_construct").value(row.fill_us / row.construct_us)
         .end_object();
   }
   json.end_array().end_object();
@@ -168,7 +308,28 @@ void print_arena_table(bool smoke) {
   std::cout << "Expected shape: the arena path wins at every m (no heap "
                "traffic in the steady\nstate); the gap widens with m as the "
                "containers grow.\n";
-  emit_json(rows, smoke);
+
+  std::vector<FillRow> fills;
+  util::Table fill_table{{"m", "keys", "construct us/pair", "fill us/pair",
+                          "fill/construct"}};
+  for (unsigned m = 1; m <= max_m; ++m) {
+    const std::size_t keys = !smoke && m == 4 ? 200000 : 24576;
+    const FillRow row = measure_fill(m, keys, smoke || m >= 4 ? 2 : 5);
+    fills.push_back(row);
+    fill_table.row()
+        .add(static_cast<int>(m))
+        .add(static_cast<int>(row.keys))
+        .add(row.construct_us, 2)
+        .add(row.fill_us, 2)
+        .add(row.fill_us / row.construct_us, 2);
+  }
+  fill_table.print(std::cout,
+                   "\nT3b: filling a default unbounded cache vs constructing "
+                   "the same distinct keys");
+  std::cout << "Expected shape: fill/construct stays a small constant (the "
+               "flatten + insert\nper miss) at every m and key count; "
+               "CI asserts <= 1.5 at m = 4.\n";
+  emit_json(rows, fills, smoke);
 }
 
 void print_speedup_table() {

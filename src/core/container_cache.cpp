@@ -31,12 +31,70 @@ std::vector<StatRow> CacheStats::rows() const {
 
 namespace {
 
-constexpr std::size_t kNoVictim = static_cast<std::size_t>(-1);
-// Index load-factor ceiling (the probe-length / memory trade): an insert
-// that would push occupancy past it grows the cloned table to the next
-// power of two. An uncapped shard's first index has kInitialSlots slots.
+// Table load-factor ceiling (the probe-length / memory trade), counting
+// dead slots: an insert that would pass it rebuilds, doubling the table
+// when the live entries alone need the room. An uncapped shard starts with
+// kInitialSlots slots.
 constexpr std::size_t kMaxLoadPercent = 50;
 constexpr std::size_t kInitialSlots = 16;
+// A rebuild also compacts once dead slots exceed 1/kDeadFraction of the
+// live entries, so eviction-heavy shards keep short probes.
+constexpr std::size_t kDeadFraction = 8;
+
+// Slot state tags, in bits no packed key uses.
+constexpr std::uint64_t kFull = std::uint64_t{1} << 62;
+constexpr std::uint64_t kDead = std::uint64_t{1} << 63;
+constexpr std::uint64_t kStateMask = kFull | kDead;
+
+// The canonical key in one word: xdiff has at most 2^m <= 32 bits, ys and
+// yt at most m <= 5 bits, then the two option bytes (58 bits in all).
+std::uint64_t pack_key(std::uint64_t xdiff, std::uint64_t ys, std::uint64_t yt,
+                       const ConstructionOptions& options) noexcept {
+  return xdiff | (ys << 32) | (yt << 37) |
+         (std::uint64_t{static_cast<std::uint8_t>(options.ordering)} << 42) |
+         (std::uint64_t{static_cast<std::uint8_t>(options.selection)} << 50);
+}
+
+// SplitMix64's finalizer: the low bits pick the home slot, the high bits
+// the shard, so keys of one shard still spread over all of its slots.
+std::uint64_t hash_key(std::uint64_t key) noexcept {
+  key ^= key >> 30;
+  key *= 0xbf58476d1ce4e5b9ULL;
+  key ^= key >> 27;
+  key *= 0x94d049bb133111ebULL;
+  return key ^ (key >> 31);
+}
+
+std::uint64_t next_shard_id() noexcept {
+  static std::atomic<std::uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Pin-table slot numbers, recycled when a shard dies: a thread's pin table
+// is as long as the most shards ever alive at once, not the most ever made.
+class PinSlots {
+ public:
+  static PinSlots& instance() {
+    static PinSlots slots;
+    return slots;
+  }
+  std::size_t acquire() {
+    std::lock_guard lock{mutex_};
+    if (free_.empty()) return next_++;
+    const std::size_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  void release(std::size_t slot) {
+    std::lock_guard lock{mutex_};
+    free_.push_back(slot);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::size_t> free_;
+  std::size_t next_ = 0;
+};
 
 }  // namespace
 
@@ -50,50 +108,134 @@ ContainerCache::ContainerCache(const HhcTopology& net, Config config)
   // Each shard gets its own decorrelated eviction stream: deterministic
   // per (seed, shard index), independent across shards.
   util::SplitMix64 seeder{config_.eviction_seed};
-  // A capped shard's index plateaus at the cap; size it to hold the cap
-  // within the load ceiling up front so such shards never grow at all.
-  const std::size_t cap = config_.max_entries_per_shard;
-  const std::size_t capped_slots =
-      cap == 0 ? 0 : std::bit_ceil(cap * 100 / kMaxLoadPercent + 1);
   for (auto& shard : shards_) {
     shard = std::make_unique<Shard>();
     shard->eviction_rng = util::Xoshiro256{seeder.next()};
-    if (capped_slots > 0) {
-      // Pre-publish an empty pre-sized index. (Construction is
-      // single-threaded; the version bump still marks this as publication
-      // number one so readers' zero-stamped TLS entries refresh onto it.)
-      auto index = std::make_shared<ShardIndex>();
-      index->slots.resize(capped_slots);
-      shard->index = std::move(index);
-      shard->version.store(1, std::memory_order_release);
-    }
+    std::lock_guard lock{shard->mutex};
+    publish(*shard, empty_table());
   }
 }
 
-std::uint64_t ContainerCache::next_shard_id() noexcept {
-  static std::atomic<std::uint64_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
+std::shared_ptr<ContainerCache::ShardIndex> ContainerCache::empty_table()
+    const {
+  // A capped shard plateaus at the cap; size its table to hold the cap
+  // within the load ceiling up front so it never grows.
+  const std::size_t cap = config_.max_entries_per_shard;
+  return std::make_shared<ShardIndex>(
+      cap == 0 ? kInitialSlots : std::bit_ceil(cap * 100 / kMaxLoadPercent + 1),
+      std::make_shared<EntryStore>());
 }
 
-const ContainerCache::ShardIndex* ContainerCache::snapshot(Shard& shard) {
-  struct Entry {
+ContainerCache::Shard::Shard()
+    : id{next_shard_id()}, pin_slot{PinSlots::instance().acquire()} {}
+
+ContainerCache::Shard::~Shard() {
+  // No lookup can race the destructor, but other threads' pins may still
+  // hold published tables; release their containers now instead of at
+  // those threads' next re-pin or exit.
+  for (const auto& generation : generations) {
+    if (const auto table = generation.lock()) {
+      table->slots.reset();
+      table->store.reset();
+    }
+  }
+  PinSlots::instance().release(pin_slot);
+}
+
+const ContainerCache::ShardIndex& ContainerCache::snapshot(Shard& shard) {
+  struct Pin {
+    std::uint64_t owner = ~std::uint64_t{0};  // no shard has this id
     std::uint64_t version = 0;
     std::shared_ptr<const ShardIndex> index;
   };
-  thread_local std::vector<Entry> tls_pins;
-  if (shard.id >= tls_pins.size()) tls_pins.resize(shard.id + 1);
-  Entry& entry = tls_pins[shard.id];
-  // Fresh TLS entries carry stamp 0, matching the never-published state's
-  // null index, so the no-publications-yet case needs no refresh either.
+  thread_local std::vector<Pin> tls_pins;
+  if (shard.pin_slot >= tls_pins.size()) tls_pins.resize(shard.pin_slot + 1);
+  Pin& pin = tls_pins[shard.pin_slot];
   const std::uint64_t version = shard.version.load(std::memory_order_acquire);
-  if (entry.version != version) {
+  if (pin.owner != shard.id || pin.version != version) {
     std::lock_guard lock{shard.mutex};
-    entry.index = shard.index;
+    pin.index = shard.index;
+    pin.owner = shard.id;
     // Re-read under the lock: a publication that slipped in since the
-    // check above must not leave a stale stamp pinned to the new index.
-    entry.version = shard.version.load(std::memory_order_relaxed);
+    // check above must not leave a stale stamp pinned to the new table.
+    pin.version = shard.version.load(std::memory_order_relaxed);
   }
-  return entry.index.get();
+  return *pin.index;
+}
+
+ContainerHandle ContainerCache::handle_of(const Entry& entry, Node mask) {
+  return ContainerHandle{
+      std::shared_ptr<const FlatContainer>{entry.shared_from_this(), &entry.flat},
+      mask};
+}
+
+const ContainerCache::Entry* ContainerCache::ShardIndex::find(
+    std::uint64_t key, std::uint64_t hash) const noexcept {
+  const std::size_t mask = capacity - 1;
+  const std::uint64_t want = key | kFull;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint64_t word = slots[i].word.load(std::memory_order_acquire);
+    if (word == 0) return nullptr;
+    if (word == want) return slots[i].entry;
+  }
+}
+
+void ContainerCache::ShardIndex::insert(std::uint64_t key, std::uint64_t hash,
+                                        const Entry* entry) {
+  const std::size_t mask = capacity - 1;
+  std::size_t i = hash & mask;
+  while (slots[i].word.load(std::memory_order_relaxed) != 0) i = (i + 1) & mask;
+  slots[i].entry = entry;
+  slots[i].word.store(key | kFull, std::memory_order_release);
+}
+
+void ContainerCache::publish(Shard& shard, std::shared_ptr<ShardIndex> table) {
+  std::erase_if(shard.generations,
+                [](const std::weak_ptr<ShardIndex>& g) { return g.expired(); });
+  shard.generations.push_back(table);
+  shard.index = std::move(table);
+  shard.version.fetch_add(1, std::memory_order_release);
+}
+
+void ContainerCache::rebuild(Shard& shard) {
+  const ShardIndex& old = *shard.index;
+  std::size_t capacity = old.capacity;
+  while ((shard.live + 1) * 100 > capacity * kMaxLoadPercent) capacity <<= 1;
+  // Growth keeps the store; only a compaction copies containers (touching
+  // their reference counts), and only the live ones.
+  const bool compact = shard.dead > 0;
+  auto next = std::make_shared<ShardIndex>(
+      capacity, compact ? std::make_shared<EntryStore>() : old.store);
+  for (std::size_t i = 0; i < old.capacity; ++i) {
+    const std::uint64_t word = old.slots[i].word.load(std::memory_order_relaxed);
+    if ((word & kStateMask) != kFull) continue;
+    const std::uint64_t key = word & ~kStateMask;
+    const Entry* entry = old.slots[i].entry;
+    if (compact) next->store->push_back(entry->shared_from_this());
+    next->insert(key, hash_key(key), entry);
+  }
+  shard.dead = 0;
+  publish(shard, std::move(next));
+}
+
+void ContainerCache::evict(Shard& shard) {
+  // Random replacement, for real: rejection-sample slots until a live one
+  // comes up, which is uniform over the live entries and deterministic per
+  // seed. A capped table is between 1/4 and 1/2 live when full, so this
+  // takes at most 4 draws on average.
+  ShardIndex& table = *shard.index;
+  for (;;) {
+    auto& word = table.slots[shard.eviction_rng.below(table.capacity)].word;
+    const std::uint64_t current = word.load(std::memory_order_relaxed);
+    if ((current & kStateMask) != kFull) continue;
+    // Readers that already saw the slot full may still copy its entry,
+    // which stays in the store until a compaction replaces the store.
+    word.store((current & ~kStateMask) | kDead, std::memory_order_release);
+    break;
+  }
+  --shard.live;
+  ++shard.dead;
+  shard.evictions.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t ContainerHandle::max_length() const noexcept {
@@ -120,40 +262,6 @@ DisjointPathSet ContainerHandle::materialize() const {
   return set;
 }
 
-void ContainerCache::ShardIndex::insert(
-    const Key& key, std::shared_ptr<const FlatContainer> value) {
-  const std::size_t mask = slots.size() - 1;
-  std::size_t i = KeyHash{}(key) & mask;
-  while (slots[i].value != nullptr) i = (i + 1) & mask;
-  slots[i].key = key;
-  slots[i].value = std::move(value);
-  ++size;
-}
-
-std::shared_ptr<ContainerCache::ShardIndex const> ContainerCache::rebuild_index(
-    const ShardIndex* old, std::size_t victim, const Key& key,
-    std::shared_ptr<const FlatContainer> value) const {
-  const std::size_t old_size = old == nullptr ? 0 : old->size;
-  const std::size_t entries = old_size - (victim != kNoVictim ? 1 : 0) + 1;
-  std::size_t capacity = old != nullptr && !old->slots.empty()
-                             ? old->slots.size()
-                             : kInitialSlots;
-  while (entries * 100 > capacity * kMaxLoadPercent) capacity <<= 1;
-
-  auto next = std::make_shared<ShardIndex>();
-  next->slots.resize(capacity);
-  if (old != nullptr) {
-    std::size_t ordinal = 0;
-    for (const ShardIndex::Slot& slot : old->slots) {
-      if (slot.value == nullptr) continue;
-      if (ordinal++ == victim) continue;  // evicted
-      next->insert(slot.key, slot.value);
-    }
-  }
-  next->insert(key, std::move(value));
-  return next;
-}
-
 ContainerHandle ContainerCache::lookup(Node s, Node t) {
   return lookup(s, t, config_.options);
 }
@@ -167,84 +275,76 @@ ContainerHandle ContainerCache::lookup(Node s, Node t,
   if (s == t) throw std::invalid_argument("ContainerCache: s == t");
 
   const std::uint64_t xs = net_.cluster_of(s);
-  const Key key{xs ^ net_.cluster_of(t), net_.position_of(s),
-                net_.position_of(t), static_cast<std::uint8_t>(options.ordering),
-                static_cast<std::uint8_t>(options.selection)};
-  Shard& shard = *shards_[KeyHash{}(key) & (shards_.size() - 1)];
+  const std::uint64_t xdiff = xs ^ net_.cluster_of(t);
+  const std::uint64_t ys = net_.position_of(s);
+  const std::uint64_t yt = net_.position_of(t);
+  const std::uint64_t key = pack_key(xdiff, ys, yt, options);
+  const std::uint64_t hash = hash_key(key);
+  Shard& shard = *shards_[(hash >> 32) & (shards_.size() - 1)];
   // In the packed encoding, relabeling every node's cluster by xs is one
   // XOR with (xs << m) — the handle applies it lazily.
   const Node mask = xs << net_.m();
 
-  // THE hot path: validate this thread's pinned snapshot and probe it. No
+  // THE hot path: validate this thread's pinned table and probe it. No
   // mutex, no shared write (the version check is a read; the hit counter
   // is a thread-private cell), no span (the enclosing answer/answer_view
   // span times hits; keeping the hit path span-free is what holds
   // enabled-tracing overhead under 5%).
-  if (const ShardIndex* index = snapshot(shard)) {
-    if (const auto* found = index->find(key)) {
-      hits_.add();
-      if (cache_hit != nullptr) *cache_hit = true;
-      return ContainerHandle{*found, mask};
-    }
+  if (const auto* found = snapshot(shard).find(key, hash)) {
+    hits_.add();
+    if (cache_hit != nullptr) *cache_hit = true;
+    return handle_of(*found, mask);
   }
 
   // Miss: run the (expensive, deterministic) construction without holding
-  // any lock, then build-and-swap a new index under the writer mutex. A
-  // racing thread may have published the key meanwhile; its result is
-  // byte-for-byte the same, so the first publication wins and the
-  // duplicate work is discarded.
+  // any lock, then insert into the live table under the writer mutex. A
+  // racing thread may have inserted the key meanwhile; its result is
+  // byte-for-byte the same, so the first insert wins and the duplicate
+  // work is discarded.
   misses_.add();
   if (cache_hit != nullptr) *cache_hit = false;
-  std::shared_ptr<const FlatContainer> flat;
+  std::shared_ptr<Entry> built;
   {
     static obs::Histogram& construct_hist =
         obs::stage_histogram(obs::stages::kConstruct);
     obs::TraceSpan span{obs::stages::kConstruct, &construct_hist};
-    const Node cs = net_.encode(0, key.ys);
-    const Node ct = net_.encode(key.xdiff, key.yt);
+    const Node cs = net_.encode(0, ys);
+    const Node ct = net_.encode(xdiff, yt);
     const DisjointPathSetRef canonical =
         node_disjoint_paths(net_, cs, ct, options, tls_construction_scratch());
-    auto built = std::make_shared<FlatContainer>();
-    built->offsets.reserve(canonical.paths.size() + 1);
-    built->offsets.push_back(0);
+    built = std::make_shared<Entry>();
+    FlatContainer& flat = built->flat;
+    flat.offsets.reserve(canonical.paths.size() + 1);
+    flat.offsets.push_back(0);
     std::size_t total = 0;
     for (const PathRef p : canonical.paths) total += p.size();
-    built->nodes.reserve(total);
+    flat.nodes.reserve(total);
     for (const PathRef p : canonical.paths) {
-      built->nodes.insert(built->nodes.end(), p.begin(), p.end());
-      built->offsets.push_back(static_cast<std::uint32_t>(built->nodes.size()));
+      flat.nodes.insert(flat.nodes.end(), p.begin(), p.end());
+      flat.offsets.push_back(static_cast<std::uint32_t>(flat.nodes.size()));
     }
-    flat = std::move(built);
   }
 
   static obs::Histogram& publish_hist =
       obs::stage_histogram(obs::stages::kCachePublish);
   obs::TraceSpan span{obs::stages::kCachePublish, &publish_hist};
   std::lock_guard lock{shard.mutex};
-  const ShardIndex* current = shard.index.get();
-  if (current != nullptr) {
-    if (const auto* found = current->find(key)) {
-      // Lost the publication race; serve the winner's identical entry.
-      // (This thread's TLS pin refreshes on its next lookup here.)
-      return ContainerHandle{*found, mask};
-    }
+  if (const auto* found = shard.index->find(key, hash)) {
+    // Lost the race; serve the winner's identical entry.
+    return handle_of(*found, mask);
   }
-  std::size_t victim = kNoVictim;
-  if (config_.max_entries_per_shard > 0 && current != nullptr &&
-      current->size >= config_.max_entries_per_shard) {
-    // Random replacement, for real: a uniformly random resident entry from
-    // the shard's seeded stream (selected by occupied-slot ordinal, so the
-    // choice is deterministic per seed). The O(capacity) clone below is
-    // noise next to the construction this miss just performed.
-    victim = shard.eviction_rng.below(current->size);
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t cap = config_.max_entries_per_shard;
+  if (cap > 0 && shard.live >= cap) evict(shard);
+  if ((shard.live + shard.dead + 1) * 100 >
+          shard.index->capacity * kMaxLoadPercent ||
+      shard.dead * kDeadFraction > shard.live) {
+    rebuild(shard);
   }
-  std::shared_ptr<const ShardIndex> next =
-      rebuild_index(current, victim, key, std::move(flat));
-  const auto* inserted = next->find(key);
-  shard.index = std::move(next);
-  shard.version.fetch_add(1, std::memory_order_release);
-  return ContainerHandle{*inserted, mask};
+  ShardIndex& table = *shard.index;
+  const Entry& entry = *table.store->emplace_back(std::move(built));
+  table.insert(key, hash, &entry);
+  ++shard.live;
+  return handle_of(entry, mask);
 }
 
 std::size_t ContainerCache::evictions() const noexcept {
@@ -259,7 +359,7 @@ std::size_t ContainerCache::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard lock{shard->mutex};
-    if (shard->index != nullptr) total += shard->index->size;
+    total += shard->live;
   }
   return total;
 }
@@ -271,7 +371,7 @@ CacheStats ContainerCache::stats() const {
     CacheShardStats row;
     {
       std::lock_guard lock{shard->mutex};
-      if (shard->index != nullptr) row.entries = shard->index->size;
+      row.entries = shard->live;
     }
     row.evictions = shard->evictions.load(std::memory_order_relaxed);
     stats.entries += row.entries;
@@ -286,9 +386,10 @@ CacheStats ContainerCache::stats() const {
 void ContainerCache::clear() {
   for (const auto& shard : shards_) {
     std::lock_guard lock{shard->mutex};
-    shard->index = nullptr;
+    publish(*shard, empty_table());
+    shard->live = 0;
+    shard->dead = 0;
     shard->evictions.store(0, std::memory_order_relaxed);
-    shard->version.fetch_add(1, std::memory_order_release);
   }
   hits_.reset();
   misses_.reset();

@@ -10,51 +10,65 @@
 // repeated-workload simulations (hotspot traffic, permutation re-runs,
 // retransmissions) into cache hits followed by an O(container size) relabel.
 //
-// Concurrency model (RCU-style published snapshots; DESIGN.md §9):
+// Concurrency model (published tables with in-place inserts; DESIGN.md §9):
 //
-//   * Each shard PUBLISHES an immutable ShardIndex — an open-addressing
-//     table of (key, shared FlatContainer) slots. A publication bumps the
-//     shard's atomic version counter; every thread keeps a version-stamped
-//     shared_ptr to its last-seen snapshot in TLS (keyed by a never-reused
-//     shard id, the util::StripedCounter identity scheme). The steady-state
-//     hit path is ONE acquire load of the version — a read of a line no
-//     reader ever writes — plus a linear probe of the thread's pinned
-//     snapshot: no mutex, no shared write, no allocation. Readers of one
-//     snapshot never observe a concurrent writer's mutation, because
-//     writers never mutate a published index.
+//   * Each shard owns a LIVE open-addressing table. A slot holds a state
+//     word, which packs the key with an empty/full/dead tag, and a raw
+//     pointer to its entry (the FlatContainer plus a weak self-reference).
+//     The shard's entry store owns the entries; readers never read it.
+//     A writer fills an empty slot in place: it stores the pointer first
+//     and the state word last (release), and a reader probes with acquire
+//     loads of the state words, so a reader that sees a full slot also
+//     sees its key and entry. A slot's key and pointer are never rewritten
+//     while its table lives.
+//   * Eviction marks the victim slot dead; readers skip dead slots. The
+//     container stays in the store until the next compaction.
+//   * A new table is built, published and version-bumped only when live
+//     plus dead slots would pass the 50% load ceiling (growth doubles the
+//     table) or when dead slots exceed 1/8 of the live entries
+//     (compaction). Growth copies (word, pointer) pairs and shares the
+//     store; only a compaction copies the live entries' owning pointers
+//     into a fresh store. Rebuilds are therefore amortized O(1) per insert.
+//   * Every thread pins the table it last saw in TLS, stamped with the
+//     shard's version and its process-unique id. The steady-state hit path
+//     is ONE acquire load of the version (a line writers touch only on a
+//     rebuild), a probe of the pinned table, one reference-count increment
+//     on the entry, and a thread-private counter bump: no mutex, no shared
+//     write besides that increment, no allocation. A stale stamp re-pins under the shard mutex, once per
+//     rebuild per thread. In-place inserts need no re-pin: they land in
+//     the very table readers already hold.
 //     (Why not std::atomic<std::shared_ptr>? libstdc++'s _Sp_atomic takes
 //     an internal spin lock — a CAS, i.e. a shared WRITE, on every load —
 //     and unlocks reads with a relaxed RMW, which is a formal data race on
-//     its pointer field that ThreadSanitizer rightly reports. The version
-//     + TLS-pin scheme is wait-free on hits and TSan-clean.)
+//     its pointer field that ThreadSanitizer rightly reports.)
 //   * Writers (cache misses) run the construction OUTSIDE any lock, then
-//     take the shard mutex, clone the current index into a new table
-//     (applying eviction if the shard is at capacity), insert, swap the
-//     published pointer, and bump the version. A reader whose TLS stamp is
-//     stale refreshes by taking that mutex just long enough to copy the
-//     new shared_ptr — once per publication per thread, never on a
-//     steady-state hit. Two threads missing the same key may both
-//     construct, but the construction is deterministic, so the loser's
-//     duplicate is discarded — results stay bit-identical to
-//     node_disjoint_paths(net, s, t, options) either way.
-//   * Reclamation is the shared_ptr refcount: a swapped-out index stays
-//     alive until the last TLS pin moves on (next refresh or thread exit);
-//     the FlatContainers inside are themselves shared with every
-//     outstanding ContainerHandle, so an entry outlives both its index AND
-//     its eviction for as long as any handle pins it.
+//     take the shard mutex, re-probe the live table, and insert. Two
+//     threads missing the same key may both construct, but the
+//     construction is deterministic, so the loser's duplicate is discarded
+//     — results stay bit-identical to node_disjoint_paths(net, s, t,
+//     options) either way.
+//   * Reclamation is the shared_ptr refcount: a replaced table stays alive
+//     until the last TLS pin moves on, and a store until the last table
+//     that points into it goes; the FlatContainers inside are shared with
+//     every outstanding ContainerHandle, so an entry outlives its table
+//     AND its eviction for as long as any handle pins it. A shard
+//     remembers (weakly) the tables it published, and destroying the cache
+//     empties any that a thread's pin still holds, so an idle thread's
+//     pins never keep a destroyed cache's containers alive. The per-thread
+//     pin table is indexed by a slot number that is recycled when a shard
+//     dies, so it is bounded by the shards alive at once.
 //   * Hit/miss counters are per-thread striped cells (util::StripedCounter)
 //     folded on stats()/hits()/misses() — the read path writes only
 //     thread-private memory. Evictions are counted under the shard mutex.
 //
-// clear() takes every shard mutex, swaps every shard to an empty index,
+// clear() takes every shard mutex, publishes an empty table per shard,
 // and resets ALL counters, so a cleared cache is indistinguishable from a
-// fresh one. Outstanding handles and in-flight snapshot readers are
-// unaffected (their shared_ptrs keep the old state alive).
+// fresh one. Outstanding handles and in-flight readers of the old tables
+// are unaffected (their shared_ptrs keep the old state alive).
 //
-// API contract (PR 7 redesign): lookup() is THE read path — it returns a
-// borrowed ContainerHandle off the published snapshot. The legacy
-// materializing paths() accessor is gone; call lookup(...).materialize()
-// where an owning DisjointPathSet is genuinely needed.
+// API contract: lookup() is THE read path — it returns a borrowed
+// ContainerHandle off the live table; call lookup(...).materialize() where
+// an owning DisjointPathSet is genuinely needed.
 #pragma once
 
 #include <atomic>
@@ -174,8 +188,10 @@ class ContainerCache {
     /// resident entry is displaced per insert (drawn from a per-shard
     /// seeded util::Xoshiro256, so runs are reproducible) and counted as an
     /// eviction. Random replacement is cheap and good enough for the
-    /// skewed workloads the cache exists for; the O(capacity) clone the
-    /// publication pays is dominated by the construction the miss just ran.
+    /// skewed workloads the cache exists for: the victim's slot is marked
+    /// dead in place, and the shard compacts once dead slots pass 1/8 of
+    /// the entries, so a capped insert costs O(1) amortized. A capped
+    /// shard's table is sized for the cap up front and never grows.
     std::size_t max_entries_per_shard = 0;
     /// Seed for the per-shard eviction RNGs (each shard derives its own
     /// stream, so eviction choices are deterministic per configuration).
@@ -195,10 +211,10 @@ class ContainerCache {
 
   /// THE read path. A steady-state hit performs no construction, no node
   /// copying, no heap allocation, and takes NO lock: one acquire load of
-  /// the shard version, a probe of the thread's pinned immutable snapshot,
-  /// one shared_ptr copy, and a per-thread counter bump. A miss runs the
-  /// construction outside any lock, then publishes a new index under the
-  /// shard mutex (which hits never touch).
+  /// the shard version, a probe of the thread's pinned table, one
+  /// shared_ptr copy, and a per-thread counter bump. A miss runs the
+  /// construction outside any lock, then inserts into the live table under
+  /// the shard mutex (which hits never touch).
   /// If `cache_hit` is non-null it receives whether this call was served
   /// without running the construction. Results materialize bit-identically
   /// to node_disjoint_paths(net, s, t, options) (asserted by tests).
@@ -212,8 +228,8 @@ class ContainerCache {
   [[nodiscard]] std::size_t hits() const { return hits_.fold(); }
   [[nodiscard]] std::size_t misses() const { return misses_.fold(); }
   [[nodiscard]] std::size_t evictions() const noexcept;
-  /// Total resident entries across shards (reads each shard's published
-  /// snapshot under its mutex — observability path, not the hot path).
+  /// Total resident entries across shards (reads each shard's live count
+  /// under its mutex — observability path, not the hot path).
   [[nodiscard]] std::size_t size() const;
   /// Per-shard + aggregate snapshot, folded at one point in time.
   [[nodiscard]] CacheStats stats() const;
@@ -230,82 +246,103 @@ class ContainerCache {
   [[nodiscard]] const HhcTopology& net() const noexcept { return net_; }
 
  private:
-  struct Key {
-    std::uint64_t xdiff;
-    std::uint64_t ys;
-    std::uint64_t yt;
-    std::uint8_t ordering;
-    std::uint8_t selection;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      std::uint64_t h = k.xdiff * 0x9e3779b97f4a7c15ULL;
-      h ^= (k.ys << 17) ^ (k.yt << 3) ^ (h >> 31);
-      h ^= (std::uint64_t{k.ordering} << 11) ^ (std::uint64_t{k.selection} << 7);
-      return static_cast<std::size_t>(h * 0xbf58476d1ce4e5b9ULL);
-    }
+  /// A cached container. A hit turns the slot's raw pointer into an
+  /// owning handle through the weak self-reference, which sits in the same
+  /// allocation as the container and its control block, so a hit never
+  /// reads the entry store.
+  struct Entry : std::enable_shared_from_this<Entry> {
+    FlatContainer flat;
   };
 
-  /// One published, immutable generation of a shard: an open-addressing
-  /// (linear-probe) table over power-of-two slots. value == nullptr marks
-  /// an empty slot. Never mutated after publication; writers clone.
+  /// Owns the entries a shard's tables point at, so growing a table copies
+  /// (word, pointer) pairs and touches no reference count. Readers never
+  /// read it. Append-only under the shard mutex; a compaction copies the
+  /// live entries into a fresh store.
+  using EntryStore = std::vector<std::shared_ptr<const Entry>>;
+
+  /// One generation of a shard's table: open addressing with linear
+  /// probing over power-of-two slots. The live generation takes in-place
+  /// inserts and dead marks under the shard mutex; a replaced generation
+  /// is never written again (until the cache's destruction empties it).
   struct ShardIndex {
+    /// `word` is the packed key (see pack_key) OR-ed with kFull or kDead;
+    /// 0 is an empty slot. 16 bytes, so the probe stays cache-friendly.
     struct Slot {
-      Key key{};
-      std::shared_ptr<const FlatContainer> value;
+      std::atomic<std::uint64_t> word{0};
+      const Entry* entry = nullptr;
     };
-    std::vector<Slot> slots;
-    std::size_t size = 0;
 
-    [[nodiscard]] const std::shared_ptr<const FlatContainer>* find(
-        const Key& key) const noexcept {
-      if (slots.empty()) return nullptr;
-      const std::size_t mask = slots.size() - 1;
-      for (std::size_t i = KeyHash{}(key) & mask;; i = (i + 1) & mask) {
-        const Slot& slot = slots[i];
-        if (slot.value == nullptr) return nullptr;
-        if (slot.key == key) return &slot.value;
-      }
-    }
-    /// Build-side insert (pre-publication only; capacity is guaranteed by
-    /// the builder, which keeps occupancy under kMaxLoadPercent).
-    void insert(const Key& key, std::shared_ptr<const FlatContainer> value);
+    ShardIndex(std::size_t slot_count, std::shared_ptr<EntryStore> owner)
+        : store{std::move(owner)},
+          slots{std::make_unique<Slot[]>(slot_count)},
+          capacity{slot_count} {}
+
+    /// Reader-safe: acquire loads of the state words only.
+    [[nodiscard]] const Entry* find(std::uint64_t key,
+                                    std::uint64_t hash) const noexcept;
+    /// Writer-only (under the shard mutex, or before publication): fills
+    /// the first empty slot on key's probe path, entry first, word last.
+    void insert(std::uint64_t key, std::uint64_t hash, const Entry* entry);
+
+    std::shared_ptr<EntryStore> store;  // keeps every `entry` alive
+    std::unique_ptr<Slot[]> slots;
+    std::size_t capacity;
   };
 
   struct Shard {
-    /// Process-unique, never reused: keys each thread's TLS snapshot cache
-    /// (see snapshot()). Stale TLS entries for destroyed caches are inert
-    /// because their ids are never issued again.
-    const std::uint64_t id = next_shard_id();
-    /// Bumped (release) on every publication. The acquire load validating
-    /// a thread's TLS stamp against this counter is the entire
-    /// shared-memory footprint of a steady-state hit.
+    Shard();
+    /// Empties every table this shard published that a thread's TLS pin
+    /// may still hold, and recycles the pin slot.
+    ~Shard();
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+
+    // Read side: touched by every lookup, written only on a rebuild.
+    /// Process-unique, never reused: tags each thread's TLS pin.
+    const std::uint64_t id;
+    /// Index into each thread's pin table; recycled when the shard dies.
+    const std::size_t pin_slot;
+    /// Bumped (release) on every publication of a new table. The acquire
+    /// load validating a thread's pin against it is the entire
+    /// shared-memory footprint of a steady-state hit besides the probe.
     std::atomic<std::uint64_t> version{0};
-    /// Guards `index`, the eviction RNG, and publication. Taken by writers
-    /// (build-then-swap) and by a reader's one-shared_ptr-copy refresh
-    /// after a publication; never by a steady-state hit.
-    std::mutex mutex;
-    std::shared_ptr<const ShardIndex> index;  // current published snapshot
-    util::Xoshiro256 eviction_rng;            // guarded by mutex
-    std::atomic<std::size_t> evictions{0};    // bumped under mutex
+
+    // Write side, on its own cache line so a writer taking the mutex does
+    // not invalidate the line every hit reads. Everything below is guarded
+    // by `mutex`.
+    alignas(64) std::mutex mutex;
+    std::shared_ptr<ShardIndex> index;  // the live table
+    std::size_t live = 0;               // full slots in `index`
+    std::size_t dead = 0;  // evicted slots in `index` (and its store)
+    /// Every table published and possibly still pinned (pruned on each
+    /// publication), so ~Shard can empty them.
+    std::vector<std::weak_ptr<ShardIndex>> generations;
+    util::Xoshiro256 eviction_rng;
+    std::atomic<std::size_t> evictions{0};  // bumped under mutex
   };
 
-  [[nodiscard]] static std::uint64_t next_shard_id() noexcept;
+  /// This thread's pinned table for `shard`, re-pinned (under the shard
+  /// mutex) only when the version or owner tag says it is not the live
+  /// one. Valid until this thread's next lookup on the same shard; it may
+  /// be one rebuild stale, which is fine: the miss path re-probes the live
+  /// table under the mutex before inserting.
+  [[nodiscard]] static const ShardIndex& snapshot(Shard& shard);
 
-  /// This thread's pinned snapshot of `shard`, refreshed (under the shard
-  /// mutex) only when the version stamp says a publication happened. The
-  /// returned pointer stays valid until this thread's next lookup on the
-  /// same shard; it may be one publication stale, which is fine: the miss
-  /// path re-probes the live index under the mutex before constructing.
-  [[nodiscard]] static const ShardIndex* snapshot(Shard& shard);
+  /// Installs `table` as the shard's live table and bumps the version.
+  /// Caller holds the shard mutex.
+  static void publish(Shard& shard, std::shared_ptr<ShardIndex> table);
+  /// Publishes a table sized for one more entry within the load ceiling
+  /// holding the live entries. With dead entries it also compacts the
+  /// store: the live containers move to a fresh one.
+  static void rebuild(Shard& shard);
+  /// Marks one uniformly random live entry dead. Caller holds the mutex.
+  static void evict(Shard& shard);
 
-  /// Clones `old` (skipping `victim`, if any), inserts (key, value), and
-  /// returns the new index. Pure build; caller publishes under the writer
-  /// mutex.
-  [[nodiscard]] std::shared_ptr<const ShardIndex> rebuild_index(
-      const ShardIndex* old, std::size_t victim, const Key& key,
-      std::shared_ptr<const FlatContainer> value) const;
+  /// An owning handle to `entry`, relabeled by `mask`.
+  [[nodiscard]] static ContainerHandle handle_of(const Entry& entry, Node mask);
+
+  /// An empty table of the size a fresh shard starts with.
+  [[nodiscard]] std::shared_ptr<ShardIndex> empty_table() const;
 
   const HhcTopology& net_;
   Config config_;

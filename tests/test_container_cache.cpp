@@ -1,12 +1,50 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+#include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/container_cache.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
+
+// Wall-clock ratios and heap accounting are meaningless under sanitizer
+// instrumentation (shadow memory, interceptors, quarantined frees).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HHC_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HHC_UNDER_SANITIZER 1
+#endif
+#endif
 
 namespace hhc::core {
 namespace {
+
+// `count` pairs with pairwise-distinct canonical keys (source in cluster 0,
+// so each pair is its own key): every lookup of a fresh cache misses.
+std::vector<PairSample> distinct_key_pairs(const HhcTopology& net,
+                                           std::size_t count,
+                                           std::uint64_t seed) {
+  util::Xoshiro256 rng{seed};
+  std::unordered_set<Node> seen;
+  std::vector<PairSample> pairs;
+  pairs.reserve(count);
+  while (pairs.size() < count) {
+    const Node s = net.encode(0, rng.below(net.cluster_size()));
+    const Node t = net.encode(rng.below(net.cluster_count()),
+                              rng.below(net.cluster_size()));
+    if (s == t || !seen.insert(s * net.node_count() + t).second) continue;
+    pairs.push_back({s, t});
+  }
+  return pairs;
+}
 
 TEST(ContainerCache, MatchesDirectConstructionExactly) {
   const HhcTopology net{3};
@@ -290,6 +328,76 @@ TEST(ContainerCache, IndexRegrowsKeepAnswersAndSize) {
     (void)cache.lookup(pairs[0].s, pairs[0].t, cache.options(), &hit);
     EXPECT_TRUE(hit);
   }
+}
+
+TEST(ContainerCache, UnboundedFillCostDoesNotGrowWithSize) {
+#ifdef HHC_UNDER_SANITIZER
+  GTEST_SKIP() << "per-miss cost ratio is a wall-clock contract";
+#endif
+  // Filling the default unbounded cache must cost O(1) per miss: the last
+  // tenth of an 8192-key fill of one shard may cost at most 2x the first
+  // tenth (median per-miss time, so one growth rebuild is not the median).
+  // An insert that copies the whole table reads 13-16x here.
+  const HhcTopology net{4};
+  const auto pairs = distinct_key_pairs(net, 8192, 0xF111);
+  // Warm the construction scratch so the first tenth is steady state.
+  for (std::size_t i = 0; i < 64; ++i) {
+    (void)node_disjoint_paths(net, pairs[i].s, pairs[i].t);
+  }
+  ContainerCache cache{net, {.shards = 1}};
+  std::vector<double> micros;
+  micros.reserve(pairs.size());
+  util::Stopwatch sw;
+  for (const auto& [s, t] : pairs) {
+    bool hit = true;
+    sw.reset();
+    (void)cache.lookup(s, t, cache.options(), &hit);
+    micros.push_back(sw.micros());
+    ASSERT_FALSE(hit);
+  }
+  const std::size_t tenth = micros.size() / 10;
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
+                     v.end());
+    return v[v.size() / 2];
+  };
+  const double first = median({micros.begin(),
+                               micros.begin() + static_cast<std::ptrdiff_t>(tenth)});
+  const double last = median({micros.end() - static_cast<std::ptrdiff_t>(tenth),
+                              micros.end()});
+  EXPECT_LE(last, 2.0 * first) << "first tenth " << first << " us/miss, last "
+                               << last << " us/miss";
+  EXPECT_EQ(cache.size(), pairs.size());
+}
+
+TEST(ContainerCache, DestroyedCachesReleaseTheirContainers) {
+#if defined(HHC_UNDER_SANITIZER) || !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc heap accounting without sanitizer shadows";
+#else
+  // Every thread pins the table it last read per shard. Destroying the
+  // cache must release the containers those pins still reach: filling and
+  // destroying caches on one thread may not grow the heap round by round.
+  const HhcTopology net{4};
+  const auto pairs = distinct_key_pairs(net, 4096, 0xDE57);
+  const auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const auto fill_and_destroy = [&] {
+    ContainerCache cache{net};
+    for (const auto& [s, t] : pairs) (void)cache.lookup(s, t);
+    return heap_bytes();
+  };
+  (void)fill_and_destroy();  // warms scratch, TLS and registries
+  const std::size_t start = heap_bytes();
+  const std::size_t one_cache = fill_and_destroy() - start;
+  for (int round = 0; round < 4; ++round) (void)fill_and_destroy();
+  const std::size_t end = heap_bytes();
+  const std::size_t growth = end > start ? end - start : 0;
+  EXPECT_LT(growth, one_cache / 20)
+      << "heap grew " << growth << " bytes over 5 rounds; one filled cache is "
+      << one_cache << " bytes";
+#endif
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
 // Concurrency regression suite for the lock-free ContainerCache read path
 // (labelled `stress`: the TSan CI job builds and runs this binary).
 //
-// Each shard publishes its index as an immutable snapshot behind
-// std::atomic<std::shared_ptr<const ShardIndex>>; readers load-acquire the
-// pointer and never take a lock, while writers build-then-swap replacement
-// snapshots under a per-shard mutex. These tests drive lookups concurrently
-// against every writer-side event — insert (publication), eviction, and
-// clear() — asserting that readers always observe a coherent snapshot
-// (bit-identical answers to direct construction) and that handles pin their
-// containers across arbitrary churn. They are exactly the interleavings the
-// snapshot swap must make safe, so they double as the TSan proof obligation
-// for the design in DESIGN.md §9.
+// Each shard owns a live open-addressing table that readers probe without a
+// lock (acquire loads of per-slot state words) through a version-stamped
+// thread-local pin, while writers insert into that same table in place,
+// mark evicted slots dead, and publish a rebuilt table only to grow or
+// compact — all under a per-shard mutex. These tests drive lookups
+// concurrently against every writer-side event — in-place insert, dead
+// mark, rebuild, and clear() — asserting that readers always observe a
+// coherent table (bit-identical answers to direct construction) and that
+// handles pin their containers across arbitrary churn. They are exactly the
+// interleavings the publication protocol must make safe, so they double as
+// the TSan proof obligation for the design in DESIGN.md §9.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -139,6 +140,77 @@ TEST(SnapshotStress, ClearRacesLookupsWithoutTearing) {
   stop.store(true, std::memory_order_relaxed);
   clearer.join();
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(SnapshotStress, ReadersProbeTheTableAWriterFillsInPlace) {
+  // One shard, so every reader probes exactly the table the writer is
+  // filling. Readers mix hits (warm keys) with misses (keys the writer has
+  // not reached yet, which they also insert). Unbounded, the fill crosses
+  // several growth rebuilds; capped, every insert past the cap marks a
+  // slot dead and every few inserts compact the table.
+  const HhcTopology net{3};
+  const auto pairs = sample_pairs(net, 192, 41);
+  std::vector<DisjointPathSet> expected;
+  expected.reserve(pairs.size());
+  ContainerCache reference{net};  // counts the pool's distinct keys
+  for (const auto& [s, t] : pairs) {
+    expected.push_back(node_disjoint_paths(net, s, t));
+    (void)reference.lookup(s, t);
+  }
+
+  const ContainerCache::Config configs[] = {
+      {.shards = 1},
+      {.shards = 1, .max_entries_per_shard = 24},
+  };
+  for (const auto& config : configs) {
+    ContainerCache cache{net, config};
+    for (std::size_t k = 0; k < 16; ++k) {
+      (void)cache.lookup(pairs[k].s, pairs[k].t);  // warm keys
+    }
+    constexpr std::size_t kReaders = kThreads - 1;
+    constexpr std::size_t kReads = 300;
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    threads.emplace_back([&] {  // the writer walks the pool in order
+      for (std::size_t k = 16; k < pairs.size(); ++k) {
+        if (cache.lookup(pairs[k].s, pairs[k].t).materialize().paths !=
+            expected[k].paths) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+    for (std::size_t id = 0; id < kReaders; ++id) {
+      threads.emplace_back([&, id] {
+        util::Xoshiro256 rng{7000 + id};
+        for (std::size_t i = 0; i < kReads; ++i) {
+          // Half the reads go to the warm keys, half anywhere in the pool.
+          const std::size_t k =
+              rng.below(i % 2 == 0 ? std::size_t{16} : pairs.size());
+          const ContainerHandle handle = cache.lookup(pairs[k].s, pairs[k].t);
+          if (handle.materialize().paths != expected[k].paths) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_EQ(cache.hits() + cache.misses(),
+              16 + (pairs.size() - 16) + kReaders * kReads);
+    if (config.max_entries_per_shard == 0) {
+      EXPECT_EQ(cache.size(), reference.size());
+      EXPECT_EQ(cache.evictions(), 0u);
+    } else {
+      EXPECT_EQ(cache.size(), config.max_entries_per_shard);
+      EXPECT_GT(cache.evictions(), pairs.size() / 2);
+    }
+    // Quiescent again: every key still answers exactly.
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      EXPECT_EQ(cache.lookup(pairs[k].s, pairs[k].t).materialize().paths,
+                expected[k].paths);
+    }
+  }
 }
 
 TEST(StripedCounter, FoldIsExactAfterWritersJoin) {
