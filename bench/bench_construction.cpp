@@ -10,7 +10,8 @@
 // distinct keys twice: constructed directly, and looked up through a fresh
 // default (unbounded) ContainerCache, whose per-miss publication must stay
 // a small constant on top of the construction however large the cache
-// grows.
+// grows. The fan table times the construction's endpoint-fan solver
+// against a warm graph::Dinic that rebuilds the split network per fan.
 //
 // `--smoke` runs a seconds-long subset (no google-benchmark registry, no
 // m=4 max flow) — enough for CI to catch a structural perf regression.
@@ -20,15 +21,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -37,6 +35,10 @@
 #include "core/disjoint.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
+#include "cube/hypercube.hpp"
+#include "graph/dinic.hpp"
+#include "graph/vertex_disjoint.hpp"
+#include "provenance.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -211,56 +213,96 @@ FillRow measure_fill(unsigned m, std::size_t requested, std::size_t reps) {
   return row;
 }
 
-std::string cpu_model() {
-  std::ifstream in{"/proc/cpuinfo"};
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos) return line.substr(colon + 2);
+struct FanRow {
+  unsigned m = 0;
+  std::size_t fans = 0;
+  double workspace_us = 0.0;  // FanWorkspace::fan on the prebuilt network
+  double dinic_us = 0.0;      // warm graph::Dinic: rebuild + max_flow only
+};
+
+struct FanInput {
+  graph::Vertex s = 0;
+  std::vector<graph::Vertex> targets;  // m distinct targets, != s
+};
+
+// Seeded endpoint-fan inputs on Q_m: a source and m targets in random
+// order, the shape of the construction's exit and entry fans.
+std::vector<FanInput> fan_inputs(unsigned m, std::size_t count) {
+  const auto n = static_cast<graph::Vertex>(1U << m);
+  util::Xoshiro256 rng{0xFA4 + m};
+  std::vector<FanInput> inputs(count);
+  for (FanInput& input : inputs) {
+    input.s = static_cast<graph::Vertex>(rng.below(n));
+    while (input.targets.size() < m) {
+      const auto v = static_cast<graph::Vertex>(rng.below(n));
+      if (v != input.s && std::find(input.targets.begin(), input.targets.end(),
+                                    v) == input.targets.end()) {
+        input.targets.push_back(v);
+      }
     }
   }
-  return "unknown";
+  return inputs;
 }
 
-// Standard output of a shell command, trailing whitespace trimmed.
-std::string command_output(const char* command) {
-  std::string out;
-  if (FILE* pipe = popen(command, "r")) {
-    char buffer[256];
-    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) out += buffer;
-    pclose(pipe);
+// Per-fan cost of the construction's fan solver against a warm Dinic that
+// rebuilds the split network per fan and runs only max_flow (the solver
+// before the prebuilt network, minus its flow decomposition). Best of
+// `reps` passes over the same inputs for each column.
+FanRow measure_fan(unsigned m, std::size_t count, std::size_t reps) {
+  const graph::AdjacencyList g = cube::Hypercube{m}.explicit_graph();
+  const graph::SplitNetwork net{g};
+  const auto inputs = fan_inputs(m, count);
+  const auto n = static_cast<std::uint32_t>(g.vertex_count());
+  graph::FanWorkspace ws;
+  graph::Dinic dinic{0};
+  const auto rebuild_and_solve = [&](const FanInput& input) {
+    dinic.reset(2 * std::size_t{n} + 1);
+    for (graph::Vertex v = 0; v < n; ++v) {
+      if (v != input.s) dinic.add_edge(2 * v, 2 * v + 1, 1);
+      for (const graph::Vertex u : g.neighbors(v)) {
+        dinic.add_edge(2 * v + 1, 2 * u, 1);
+      }
+    }
+    for (const graph::Vertex t : input.targets) {
+      dinic.add_edge(2 * t + 1, 2 * n, 1);
+    }
+    return dinic.max_flow(2 * input.s + 1, 2 * n);
+  };
+  for (const FanInput& input : inputs) {  // warm both
+    benchmark::DoNotOptimize(ws.fan(net, input.s, input.targets).data());
+    benchmark::DoNotOptimize(rebuild_and_solve(input));
   }
-  while (!out.empty() && std::isspace(static_cast<unsigned char>(out.back()))) {
-    out.pop_back();
+  FanRow row;
+  row.m = m;
+  row.fans = inputs.size();
+  const double per_pass = static_cast<double>(inputs.size());
+  row.workspace_us = std::numeric_limits<double>::infinity();
+  row.dinic_us = std::numeric_limits<double>::infinity();
+  util::Stopwatch sw;
+  for (std::size_t r = 0; r < reps; ++r) {
+    sw.reset();
+    for (const FanInput& input : inputs) {
+      benchmark::DoNotOptimize(ws.fan(net, input.s, input.targets).data());
+    }
+    row.workspace_us = std::min(row.workspace_us, sw.micros() / per_pass);
+    sw.reset();
+    for (const FanInput& input : inputs) {
+      benchmark::DoNotOptimize(rebuild_and_solve(input));
+    }
+    row.dinic_us = std::min(row.dinic_us, sw.micros() / per_pass);
   }
-  return out;
-}
-
-// The checkout's commit when run from inside a git work tree, marked
-// "-dirty" when tracked files differ from it.
-std::string git_sha() {
-  const std::string sha = command_output("git rev-parse HEAD 2>/dev/null");
-  if (sha.empty()) return "unknown";
-  const bool dirty = !command_output(
-      "git status --porcelain --untracked-files=no 2>/dev/null").empty();
-  return dirty ? sha + "-dirty" : sha;
+  return row;
 }
 
 void emit_json(const std::vector<ConstructionRow>& rows,
-               const std::vector<FillRow>& fills, bool smoke) {
+               const std::vector<FillRow>& fills,
+               const std::vector<FanRow>& fans, bool smoke) {
   core::JsonWriter json;
   json.begin_object()
       .key("bench").value("construction")
-      .key("mode").value(smoke ? "smoke" : "full")
-      .key("provenance").begin_object()
-      .key("git_sha").value(git_sha())
-      .key("nproc").value(std::uint64_t{std::thread::hardware_concurrency()})
-      .key("cpu").value(cpu_model())
-      .key("compiler").value(HHC_BENCH_COMPILER)
-      .key("build_type").value(HHC_BENCH_BUILD_TYPE)
-      .end_object()
-      .key("results").begin_array();
+      .key("mode").value(smoke ? "smoke" : "full");
+  bench::write_provenance(json);
+  json.key("results").begin_array();
   for (const ConstructionRow& row : rows) {
     json.begin_object()
         .key("m").value(static_cast<std::uint64_t>(row.m))
@@ -278,6 +320,16 @@ void emit_json(const std::vector<ConstructionRow>& rows,
         .key("construct_us_per_pair").value(row.construct_us)
         .key("fill_us_per_pair").value(row.fill_us)
         .key("fill_over_construct").value(row.fill_us / row.construct_us)
+        .end_object();
+  }
+  json.end_array().key("fan").begin_array();
+  for (const FanRow& row : fans) {
+    json.begin_object()
+        .key("m").value(static_cast<std::uint64_t>(row.m))
+        .key("fans").value(std::uint64_t{row.fans})
+        .key("workspace_us_per_fan").value(row.workspace_us)
+        .key("dinic_rebuild_us_per_fan").value(row.dinic_us)
+        .key("dinic_over_workspace").value(row.dinic_us / row.workspace_us)
         .end_object();
   }
   json.end_array().end_object();
@@ -329,7 +381,28 @@ void print_arena_table(bool smoke) {
   std::cout << "Expected shape: fill/construct stays a small constant (the "
                "flatten + insert\nper miss) at every m and key count; "
                "CI asserts <= 1.5 at m = 4.\n";
-  emit_json(rows, fills, smoke);
+
+  std::vector<FanRow> fans;
+  util::Table fan_table{{"m", "fans", "workspace us/fan",
+                         "dinic rebuild us/fan", "dinic/workspace"}};
+  for (unsigned m = 1; m <= 5; ++m) {
+    const FanRow row = measure_fan(m, 2048, smoke ? 5 : 20);
+    fans.push_back(row);
+    fan_table.row()
+        .add(static_cast<int>(m))
+        .add(static_cast<int>(row.fans))
+        .add(row.workspace_us, 3)
+        .add(row.dinic_us, 3)
+        .add(row.dinic_us / row.workspace_us, 2);
+  }
+  fan_table.print(std::cout,
+                  "\nT3c: one endpoint fan (source, m targets) on Q_m, "
+                  "prebuilt flat network vs\nwarm Dinic rebuilding the split "
+                  "network (max_flow only, no decomposition)");
+  std::cout << "Expected shape: the workspace, which also decomposes the "
+               "flow into paths, stays\nfaster than the rebuild alone at "
+               "every m; CI asserts >= 1.5x at m = 4.\n";
+  emit_json(rows, fills, fans, smoke);
 }
 
 void print_speedup_table() {

@@ -16,7 +16,8 @@
 // bit, so the throughput here is the handle path, not a different answer.
 //
 // `--smoke` shrinks the pool/total for a seconds-long CI run. Both modes
-// write machine-readable rows to BENCH_query.json; REPRODUCING.md describes
+// write machine-readable rows, stamped with the git sha, core count, CPU,
+// compiler and build type, to BENCH_query.json; REPRODUCING.md describes
 // the baseline-comparison workflow.
 #include <atomic>
 #include <cstddef>
@@ -33,6 +34,7 @@
 #include "core/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "provenance.hpp"
 #include "query/path_service.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -221,7 +223,9 @@ void emit_json(const std::vector<SweepRow>& rows,
       .key("bench").value("query_throughput")
       .key("mode").value(smoke ? "smoke" : "full")
       .key("pair_pool").value(static_cast<std::uint64_t>(g_pair_pool))
-      .key("queries_total").value(static_cast<std::uint64_t>(g_queries_total))
+      .key("queries_total").value(static_cast<std::uint64_t>(g_queries_total));
+  bench::write_provenance(json);
+  json
       // Lets consumers (the CI scaling assert) judge whether the thread
       // sweep could physically scale on the machine that produced it.
       .key("hardware_threads")

@@ -65,36 +65,12 @@ std::uint64_t hash_key(std::uint64_t key) noexcept {
   return key ^ (key >> 31);
 }
 
-std::uint64_t next_shard_id() noexcept {
-  static std::atomic<std::uint64_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
+// Pin-table slots, recycled when a shard dies: a thread's pin table is as
+// long as the most shards ever alive at once, not the most ever made.
+util::SlotPool& pin_slots() {
+  static auto* slots = new util::SlotPool;  // never destroyed: outlives shards
+  return *slots;
 }
-
-// Pin-table slot numbers, recycled when a shard dies: a thread's pin table
-// is as long as the most shards ever alive at once, not the most ever made.
-class PinSlots {
- public:
-  static PinSlots& instance() {
-    static PinSlots slots;
-    return slots;
-  }
-  std::size_t acquire() {
-    std::lock_guard lock{mutex_};
-    if (free_.empty()) return next_++;
-    const std::size_t slot = free_.back();
-    free_.pop_back();
-    return slot;
-  }
-  void release(std::size_t slot) {
-    std::lock_guard lock{mutex_};
-    free_.push_back(slot);
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::size_t> free_;
-  std::size_t next_ = 0;
-};
 
 }  // namespace
 
@@ -126,8 +102,7 @@ std::shared_ptr<ContainerCache::ShardIndex> ContainerCache::empty_table()
       std::make_shared<EntryStore>());
 }
 
-ContainerCache::Shard::Shard()
-    : id{next_shard_id()}, pin_slot{PinSlots::instance().acquire()} {}
+ContainerCache::Shard::Shard() : key{pin_slots()} {}
 
 ContainerCache::Shard::~Shard() {
   // No lookup can race the destructor, but other threads' pins may still
@@ -139,23 +114,19 @@ ContainerCache::Shard::~Shard() {
       table->store.reset();
     }
   }
-  PinSlots::instance().release(pin_slot);
 }
 
 const ContainerCache::ShardIndex& ContainerCache::snapshot(Shard& shard) {
   struct Pin {
-    std::uint64_t owner = ~std::uint64_t{0};  // no shard has this id
     std::uint64_t version = 0;
-    std::shared_ptr<const ShardIndex> index;
+    std::shared_ptr<const ShardIndex> index;  // null until first pinned
   };
-  thread_local std::vector<Pin> tls_pins;
-  if (shard.pin_slot >= tls_pins.size()) tls_pins.resize(shard.pin_slot + 1);
-  Pin& pin = tls_pins[shard.pin_slot];
+  thread_local util::ThreadTable<Pin> tls_pins;
+  Pin& pin = tls_pins.get(shard.key);
   const std::uint64_t version = shard.version.load(std::memory_order_acquire);
-  if (pin.owner != shard.id || pin.version != version) {
+  if (pin.index == nullptr || pin.version != version) {
     std::lock_guard lock{shard.mutex};
     pin.index = shard.index;
-    pin.owner = shard.id;
     // Re-read under the lock: a publication that slipped in since the
     // check above must not leave a stale stamp pinned to the new table.
     pin.version = shard.version.load(std::memory_order_relaxed);

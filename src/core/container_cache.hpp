@@ -81,6 +81,7 @@
 #include "core/disjoint.hpp"
 #include "core/topology.hpp"
 #include "util/rng.hpp"
+#include "util/slot_pool.hpp"
 #include "util/striped.hpp"
 
 namespace hhc::core {
@@ -292,16 +293,15 @@ class ContainerCache {
   struct Shard {
     Shard();
     /// Empties every table this shard published that a thread's TLS pin
-    /// may still hold, and recycles the pin slot.
+    /// may still hold; `key` then recycles the pin slot.
     ~Shard();
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
 
     // Read side: touched by every lookup, written only on a rebuild.
-    /// Process-unique, never reused: tags each thread's TLS pin.
-    const std::uint64_t id;
-    /// Index into each thread's pin table; recycled when the shard dies.
-    const std::size_t pin_slot;
+    /// Never-reused id (tags each thread's TLS pin) and the pin-table slot,
+    /// recycled when the shard dies.
+    const util::SlotKey key;
     /// Bumped (release) on every publication of a new table. The acquire
     /// load validating a thread's pin against it is the entire
     /// shared-memory footprint of a steady-state hit besides the probe.

@@ -247,7 +247,7 @@ void same_cluster_paths(const HhcTopology& net, Node s, Node t,
       obs::stage_histogram(obs::stages::kFanSolve);
   obs::TraceSpan fan_span{obs::stages::kFanSolve, &fan_hist};
   const auto inner =
-      scratch.exit_fan.max_disjoint_paths(scratch.cluster_graph(m), Ys, Yt, m);
+      scratch.exit_fan.max_disjoint_paths(scratch.split_network(m), Ys, Yt, m);
   if (inner.size() != m) {
     throw std::logic_error("cluster connectivity below m");
   }
@@ -281,7 +281,7 @@ void same_cluster_paths(const HhcTopology& net, Node s, Node t,
 void different_cluster_paths(const HhcTopology& net, Node s, Node t,
                              ConstructionOptions options,
                              ConstructionScratch& scratch) {
-  const graph::AdjacencyList& cluster_graph = scratch.cluster_graph(net.m());
+  const graph::SplitNetwork& cluster_net = scratch.split_network(net.m());
   const std::uint64_t Xs = net.cluster_of(s);
   const auto Ys = static_cast<graph::Vertex>(net.position_of(s));
   const auto Yt = static_cast<graph::Vertex>(net.position_of(t));
@@ -312,9 +312,9 @@ void different_cluster_paths(const HhcTopology& net, Node s, Node t,
     static obs::Histogram& fan_hist =
         obs::stage_histogram(obs::stages::kFanSolve);
     obs::TraceSpan fan_span{obs::stages::kFanSolve, &fan_hist};
-    exit_fans = scratch.exit_fan.fan(cluster_graph, Ys, scratch.exit_targets);
+    exit_fans = scratch.exit_fan.fan(cluster_net, Ys, scratch.exit_targets);
     entry_fans =
-        scratch.entry_fan.reverse_fan(cluster_graph, scratch.entry_sources, Yt);
+        scratch.entry_fan.reverse_fan(cluster_net, scratch.entry_sources, Yt);
   }
 
   std::size_t exit_index = 0;

@@ -127,11 +127,14 @@ LocalRouteView local_fault_route(const HhcTopology& net, Node s, Node t,
     }
     order[degree - 1] = {route_length(net, net.external_neighbor(v), t),
                          net.external_neighbor(v)};
-    std::sort(order.begin(), order.begin() + degree,
-              [](const auto& lhs, const auto& rhs) {
-                return lhs.first != rhs.first ? lhs.first > rhs.first
-                                              : lhs.second > rhs.second;
-              });
+    // Insertion sort, descending by (estimate, node): at most 6 keys, all
+    // distinct, so the order is the one std::sort gave.
+    for (unsigned i = 1; i < degree; ++i) {
+      const std::pair<std::size_t, Node> key = order[i];
+      unsigned j = i;
+      for (; j > 0 && order[j - 1] < key; --j) order[j] = order[j - 1];
+      order[j] = key;
+    }
     const auto begin = static_cast<std::uint32_t>(untried.size());
     for (unsigned i = 0; i < degree; ++i) untried.push_back(order[i].second);
     frames.push_back(LocalRouteScratch::Frame{

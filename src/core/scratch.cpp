@@ -15,6 +15,13 @@ const graph::AdjacencyList& ConstructionScratch::cluster_graph(unsigned m) {
   return *slot;
 }
 
+const graph::SplitNetwork& ConstructionScratch::split_network(unsigned m) {
+  const graph::AdjacencyList& graph = cluster_graph(m);
+  auto& slot = split_networks_[m];
+  if (!slot.has_value()) slot.emplace(graph);
+  return *slot;
+}
+
 ConstructionScratch& tls_construction_scratch() {
   thread_local ConstructionScratch scratch;
   return scratch;

@@ -2,10 +2,11 @@
 //
 // A single node_disjoint_paths query needs: the differing-dimension scan,
 // the selected cluster routes, two endpoint fans (max flow on the cluster
-// graph), and m+1 realized paths. ConstructionScratch owns warm storage for
-// every one of those pieces; a query resets the arena, overwrites the
-// buffers in place, and — once the scratch has seen one query of each shape
-// — touches the heap exactly zero times (tests/test_allocation.cpp).
+// graph's split network, built once per m), and m+1 realized paths.
+// ConstructionScratch owns warm storage for every one of those pieces; a
+// query resets the arena, overwrites the buffers in place, and — once the
+// scratch has seen one query of each shape — touches the heap exactly zero
+// times (tests/test_allocation.cpp).
 //
 // Results are spans into the scratch (PathRef); they stay valid until the
 // next query on the same scratch. Copy (materialize) before reusing it.
@@ -48,6 +49,10 @@ class ConstructionScratch {
   /// construction solves every fan on this same <= 32-node graph).
   [[nodiscard]] const graph::AdjacencyList& cluster_graph(unsigned m);
 
+  /// The split flow network of cluster_graph(m), built once per m: the
+  /// template every endpoint fan of this thread is solved on.
+  [[nodiscard]] const graph::SplitNetwork& split_network(unsigned m);
+
   // --- reused query-local buffers (internal to the construction) ---------
   std::vector<unsigned> dims;             // differing X-dimensions
   std::vector<unsigned> route_words;      // flattened selected routes
@@ -65,6 +70,7 @@ class ConstructionScratch {
 
  private:
   std::array<std::optional<graph::AdjacencyList>, 7> cluster_graphs_;
+  std::array<std::optional<graph::SplitNetwork>, 7> split_networks_;
 };
 
 /// This thread's construction scratch (function-local thread_local). The

@@ -18,8 +18,7 @@ class Dinic {
   /// Drops all edges and re-dimensions the network to `node_count` nodes,
   /// REUSING the adjacency storage of previous runs (per-node edge vectors
   /// keep their capacity, and the node table never shrinks). A warm Dinic
-  /// cycled through same-shaped problems performs no heap allocations —
-  /// this is what lets the construction hot path run allocation-free.
+  /// cycled through same-shaped problems performs no heap allocations.
   void reset(std::size_t node_count);
 
   /// Adds a directed edge u -> v with the given capacity.

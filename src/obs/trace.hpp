@@ -85,8 +85,10 @@ struct TraceRing {
       : capacity{cap}, tid{id},
         slots{cap > 0 ? std::make_unique<Slot[]>(cap) : nullptr} {}
 
-  /// Owner thread only. Lock-free: a seq bump, three relaxed stores, a
-  /// closing seq store, and the count publication.
+  /// Owner thread only. Lock-free: a seq bump, three release stores, a
+  /// closing seq store, and the count publication. The field stores are
+  /// release so that a reader whose acquire load sees a new field value
+  /// also sees the odd seq stored before it (x86 emits plain stores).
   void append(const char* name, std::uint64_t start,
               std::uint64_t dur) noexcept {
     if (capacity == 0) return;
@@ -94,10 +96,9 @@ struct TraceRing {
     Slot& slot = slots[n % capacity];
     const std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
     slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: mid-write
-    std::atomic_thread_fence(std::memory_order_release);
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.start.store(start, std::memory_order_relaxed);
-    slot.dur.store(dur, std::memory_order_relaxed);
+    slot.name.store(name, std::memory_order_release);
+    slot.start.store(start, std::memory_order_release);
+    slot.dur.store(dur, std::memory_order_release);
     slot.seq.store(seq + 2, std::memory_order_release);  // even: stable
     count.store(n + 1, std::memory_order_release);
   }
@@ -111,10 +112,11 @@ struct TraceRing {
       const Slot& slot = slots[i];
       const std::uint32_t s1 = slot.seq.load(std::memory_order_acquire);
       if ((s1 & 1) != 0) continue;  // mid-write
-      TraceEvent event{slot.name.load(std::memory_order_relaxed),
-                       slot.start.load(std::memory_order_relaxed),
-                       slot.dur.load(std::memory_order_relaxed), tid};
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire loads: a value from a rewrite that began after s1 carries
+      // that rewrite's odd seq with it, and the re-check below sees it.
+      TraceEvent event{slot.name.load(std::memory_order_acquire),
+                       slot.start.load(std::memory_order_acquire),
+                       slot.dur.load(std::memory_order_acquire), tid};
       if (slot.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
       out.push_back(event);
     }

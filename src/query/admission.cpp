@@ -8,13 +8,24 @@
 
 namespace hhc::query {
 
+util::SlotPool& AdmissionGate::slot_pool() {
+  static auto* slots = new util::SlotPool;  // never destroyed: outlives gates
+  return *slots;
+}
+
+util::ThreadTable<std::size_t>& AdmissionGate::tls_streaks() {
+  thread_local util::ThreadTable<std::size_t> streaks;
+  return streaks;
+}
+
 std::size_t& AdmissionGate::shed_streak() const {
-  // One slot per gate instance (ids are process-unique and never reused),
-  // mirroring StripedCounter's TLS scheme: streaks for destroyed gates are
-  // inert because their ids are never consulted again.
-  thread_local std::vector<std::size_t> streaks;
-  if (id_ >= streaks.size()) streaks.resize(id_ + 1, 0);
-  return streaks[id_];
+  // One entry per live gate (the slot is recycled when a gate dies; the
+  // entry restarts at 0 for the next gate holding it).
+  return tls_streaks().get(key_);
+}
+
+std::size_t AdmissionGate::thread_table_size() {
+  return tls_streaks().size();
 }
 
 AdmissionVerdict AdmissionGate::admit() {

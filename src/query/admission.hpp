@@ -59,6 +59,7 @@
 #include <unordered_map>
 
 #include "core/topology.hpp"
+#include "util/slot_pool.hpp"
 #include "util/striped.hpp"
 
 namespace hhc::query {
@@ -117,8 +118,7 @@ enum class AdmissionVerdict {
 class AdmissionGate {
  public:
   explicit AdmissionGate(AdmissionConfig config)
-      : config_{config}, id_{next_id().fetch_add(1,
-                                                 std::memory_order_relaxed)} {}
+      : config_{config}, key_{slot_pool()} {}
 
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
@@ -157,6 +157,10 @@ class AdmissionGate {
     return config_;
   }
 
+  /// Length of the calling thread's shed-streak table: bounded by the most
+  /// gates alive at once.
+  [[nodiscard]] static std::size_t thread_table_size();
+
   /// Completions folded per EWMA update when the detector is armed.
   static constexpr std::uint64_t kDecisionEpoch = 32;
 
@@ -168,14 +172,11 @@ class AdmissionGate {
   [[nodiscard]] bool try_fold_completions() const noexcept;
   void apply_fold_locked() const noexcept;
   [[nodiscard]] std::size_t& shed_streak() const;
-
-  [[nodiscard]] static std::atomic<std::uint64_t>& next_id() noexcept {
-    static std::atomic<std::uint64_t> id{0};
-    return id;
-  }
+  [[nodiscard]] static util::ThreadTable<std::size_t>& tls_streaks();
+  [[nodiscard]] static util::SlotPool& slot_pool();
 
   AdmissionConfig config_;
-  const std::uint64_t id_;  // process-unique; keys the per-thread shed streak
+  const util::SlotKey key_;  // keys this gate's per-thread shed streak
   std::atomic<std::size_t> in_flight_{0};
 
   // Completion feedback: per-thread cells on the write side, folded into

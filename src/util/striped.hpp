@@ -10,12 +10,13 @@
 // for quiescent periods and at-most-one-increment racy under load — the
 // same consistency the old single atomic gave concurrent readers.
 //
-// Lifetime/identity scheme: every counter instance draws a process-unique
-// id (never reused), and each thread keeps a flat id -> cell* cache in TLS.
-// Cells are OWNED by the counter (so counts from exited threads survive in
-// fold()); the TLS cache may hold stale pointers for destroyed counters,
-// but those ids are never looked up again — only the owning counter's own
-// methods consult its slot — so the stale entries are inert.
+// Lifetime/identity scheme: every counter holds a SlotKey (util/slot_pool.hpp),
+// and each thread keeps a slot -> cell* table in TLS whose entries are
+// tagged with the counter's never-reused id. Cells are OWNED by the counter
+// (so counts from exited threads survive in fold()). A destroyed counter's
+// slot goes to a later counter; a thread's stale entry there no longer
+// matches the id and is replaced on first use, so a thread's table is as
+// long as the most counters alive at once, not the most ever created.
 #pragma once
 
 #include <atomic>
@@ -24,11 +25,13 @@
 #include <mutex>
 #include <vector>
 
+#include "util/slot_pool.hpp"
+
 namespace hhc::util {
 
 class StripedCounter {
  public:
-  StripedCounter() : id_{next_id().fetch_add(1, std::memory_order_relaxed)} {}
+  StripedCounter() : key_{pool()} {}
 
   StripedCounter(const StripedCounter&) = delete;
   StripedCounter& operator=(const StripedCounter&) = delete;
@@ -61,20 +64,29 @@ class StripedCounter {
     }
   }
 
+  /// Length of the calling thread's cell table: bounded by the most
+  /// counters alive at once.
+  [[nodiscard]] static std::size_t thread_table_size() {
+    return tls_cells().size();
+  }
+
  private:
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> value{0};
   };
 
-  [[nodiscard]] static std::atomic<std::uint64_t>& next_id() noexcept {
-    static std::atomic<std::uint64_t> id{0};
-    return id;
+  [[nodiscard]] static SlotPool& pool() {
+    static auto* slots = new SlotPool;  // never destroyed: outlives counters
+    return *slots;
+  }
+
+  [[nodiscard]] static ThreadTable<std::atomic<std::uint64_t>*>& tls_cells() {
+    thread_local ThreadTable<std::atomic<std::uint64_t>*> cells;
+    return cells;
   }
 
   [[nodiscard]] std::atomic<std::uint64_t>& local_cell() {
-    thread_local std::vector<std::atomic<std::uint64_t>*> tls_cells;
-    if (id_ >= tls_cells.size()) tls_cells.resize(id_ + 1, nullptr);
-    std::atomic<std::uint64_t>*& slot = tls_cells[id_];
+    std::atomic<std::uint64_t>*& slot = tls_cells().get(key_);
     if (slot == nullptr) {
       std::lock_guard lock{mutex_};
       cells_.push_back(std::make_unique<Cell>());
@@ -83,7 +95,7 @@ class StripedCounter {
     return *slot;
   }
 
-  const std::uint64_t id_;
+  const SlotKey key_;
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Cell>> cells_;
 };

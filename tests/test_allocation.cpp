@@ -1,12 +1,13 @@
 // Allocation-count regression tests for the zero-allocation hot paths.
 //
-// This binary overrides the global allocation functions with counting
-// wrappers (malloc-backed, so behavior is unchanged) and asserts a ZERO
-// delta across the steady-state regions the arena rework promises are
-// allocation-free:
+// This binary replaces the global allocation functions with counting
+// wrappers (malloc-backed, so behavior is unchanged; counting_allocator.cpp)
+// and asserts a ZERO delta across the steady-state regions the arena rework
+// promises are allocation-free:
 //
 //   * node_disjoint_paths(net, s, t, options, scratch) once the scratch's
-//     arena/workspaces/buffers have grown to the working set;
+//     arena/workspaces/buffers have grown to the working set, for pairs in
+//     different clusters and in the same cluster;
 //   * ContainerCache::lookup on a hit (one shared_ptr copy, no allocation);
 //   * PathService::answer_view on a hit (handle + telemetry only).
 //
@@ -16,9 +17,6 @@
 // — find it with e.g. a breakpoint on the counting operator new.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "core/container_cache.hpp"
@@ -27,44 +25,14 @@
 #include "core/scratch.hpp"
 #include "query/path_service.hpp"
 
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-// Counting global allocator. Covers the throwing, nothrow, and sized/array
-// forms so no allocation path in the process escapes the counter.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc{};
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p != nullptr) g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+// Heap allocations so far in this process, counted by the replacement
+// global allocation functions in counting_allocator.cpp.
+std::size_t counted_allocations();
 
 namespace hhc::core {
 namespace {
 
-std::size_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
+std::size_t allocation_count() { return counted_allocations(); }
 
 TEST(AllocationFree, ScratchConstructionSteadyState) {
   const HhcTopology net{3};
@@ -122,6 +90,43 @@ TEST(AllocationFree, ScratchConstructionSteadyStateAllOptionSets) {
     }
   }
   EXPECT_EQ(allocation_count() - before, 0u);
+}
+
+// Same-cluster pairs take the max_disjoint_paths branch, which the sampled
+// pairs above almost never reach.
+TEST(AllocationFree, ScratchConstructionSteadyStateSameCluster) {
+  const HhcTopology net{3};
+  std::vector<PairSample> pairs;
+  for (std::uint64_t x = 0; x < net.cluster_count(); x += 37) {
+    for (std::uint64_t ys = 0; ys < net.cluster_size(); ++ys) {
+      pairs.push_back({net.encode(x, ys),
+                       net.encode(x, (ys + 1 + x) % net.cluster_size())});
+    }
+  }
+  auto& scratch = tls_construction_scratch();
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [s, t] : pairs) {
+      if (s == t) continue;
+      const auto set = node_disjoint_paths(net, s, t, {}, scratch);
+      ASSERT_EQ(set.paths.size(), net.m() + 1);
+    }
+  }
+
+  const std::size_t before = allocation_count();
+  std::size_t paths_built = 0;
+  std::size_t queries = 0;
+  for (const auto& [s, t] : pairs) {
+    if (s == t) continue;
+    const auto set = node_disjoint_paths(net, s, t, {}, scratch);
+    paths_built += set.paths.size();
+    ++queries;
+  }
+  const std::size_t delta = allocation_count() - before;
+
+  EXPECT_EQ(delta, 0u) << "steady-state same-cluster construction performed "
+                       << delta << " heap allocations";
+  EXPECT_GT(queries, 0u);
+  EXPECT_EQ(paths_built, queries * (net.m() + 1));
 }
 
 TEST(AllocationFree, ArenaHeapAllocationsStabilize) {

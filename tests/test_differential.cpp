@@ -13,6 +13,13 @@
 // m = 4 (seed 0xD1FF + m, the seed the snapshots were recorded with —
 // changing it invalidates the constants).
 //
+// Two later pins cover what the 2000-pair samples do not reach: 2000
+// sampled pairs at m = 5 (seed 0xD1FF + 5) under all three option sets, and
+// same-cluster pairs, which take the max_disjoint_paths branch (a sampled
+// m = 4 pair shares a cluster about once in 2^16). The same-cluster pins are
+// every same-cluster ordered pair at m = 3 plus 2000 seeded ones (seed
+// 0x5C1 + m) at m = 4 and m = 5; the construction ignores the options there.
+//
 // A hash can only say "something changed"; the deep-equality sweep pins the
 // two live entry points (copying API vs scratch + materialize) node-for-node
 // so a mismatch points at the diverging pair. The max-flow cross-check then
@@ -26,6 +33,7 @@
 #include "core/disjoint.hpp"
 #include "core/metrics.hpp"
 #include "core/scratch.hpp"
+#include "util/rng.hpp"
 
 namespace hhc::core {
 namespace {
@@ -85,6 +93,39 @@ void check_sampled_snapshot(unsigned m, const Snapshot& snap) {
       << "m=" << m << ": arena construction drifted from pre-rework snapshot";
 }
 
+// Every ordered same-cluster pair of the topology (m <= 3), cluster by
+// cluster.
+void check_exhaustive_same_cluster(unsigned m, std::uint64_t expected) {
+  const HhcTopology net{m};
+  auto& scratch = tls_construction_scratch();
+  Fnv1a fnv;
+  for (std::uint64_t x = 0; x < net.cluster_count(); ++x) {
+    for (std::uint64_t ys = 0; ys < net.cluster_size(); ++ys) {
+      for (std::uint64_t yt = 0; yt < net.cluster_size(); ++yt) {
+        if (ys == yt) continue;
+        hash_pair(net, net.encode(x, ys), net.encode(x, yt), {}, scratch, fnv);
+      }
+    }
+  }
+  EXPECT_EQ(fnv.h, expected) << "m=" << m << ": same-cluster paths drifted";
+}
+
+// 2000 seeded same-cluster pairs (uniform cluster, distinct positions).
+void check_sampled_same_cluster(unsigned m, std::uint64_t expected) {
+  const HhcTopology net{m};
+  auto& scratch = tls_construction_scratch();
+  util::Xoshiro256 rng{0x5C1 + m};
+  Fnv1a fnv;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t x = rng.below(net.cluster_count());
+    const std::uint64_t ys = rng.below(net.cluster_size());
+    std::uint64_t yt = rng.below(net.cluster_size() - 1);
+    if (yt >= ys) ++yt;
+    hash_pair(net, net.encode(x, ys), net.encode(x, yt), {}, scratch, fnv);
+  }
+  EXPECT_EQ(fnv.h, expected) << "m=" << m << ": same-cluster paths drifted";
+}
+
 // Recorded from the pre-rework implementation; do not regenerate casually —
 // a mismatch means routed containers changed, which breaks cache/bench
 // comparability and must be an explicit, documented decision.
@@ -121,6 +162,20 @@ constexpr Snapshot kM4[] = {
      0x2657748f56c603f7ULL},
 };
 
+// Recorded at the commit before the flat split network replaced the
+// per-fan Dinic rebuild, so they pin that the replacement changed no bit.
+constexpr Snapshot kM5[] = {
+    {DimensionOrdering::kGrayCycle, RouteSelectionPolicy::kCanonical,
+     0xf5da1abf46f4b6adULL},
+    {DimensionOrdering::kAscending, RouteSelectionPolicy::kCanonical,
+     0xd503c942f30af865ULL},
+    {DimensionOrdering::kGrayCycle, RouteSelectionPolicy::kBalanced,
+     0x4c0bd5d3bd5446c4ULL},
+};
+constexpr std::uint64_t kSameClusterM3 = 0x90408f57704fef25ULL;
+constexpr std::uint64_t kSameClusterM4 = 0x0ce6a9483c8e7279ULL;
+constexpr std::uint64_t kSameClusterM5 = 0xf5f4677e80a6fff0ULL;
+
 TEST(Differential, SnapshotExhaustiveM1) {
   for (const Snapshot& snap : kM1) check_exhaustive_snapshot(1, snap);
 }
@@ -135,6 +190,22 @@ TEST(Differential, SnapshotSampledM3) {
 
 TEST(Differential, SnapshotSampledM4) {
   for (const Snapshot& snap : kM4) check_sampled_snapshot(4, snap);
+}
+
+TEST(Differential, SnapshotSampledM5) {
+  for (const Snapshot& snap : kM5) check_sampled_snapshot(5, snap);
+}
+
+TEST(Differential, SnapshotSameClusterExhaustiveM3) {
+  check_exhaustive_same_cluster(3, kSameClusterM3);
+}
+
+TEST(Differential, SnapshotSameClusterSampledM4) {
+  check_sampled_same_cluster(4, kSameClusterM4);
+}
+
+TEST(Differential, SnapshotSameClusterSampledM5) {
+  check_sampled_same_cluster(5, kSameClusterM5);
 }
 
 // The copying API and the scratch overload must agree node for node: the
