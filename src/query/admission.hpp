@@ -31,13 +31,14 @@
 //                    sets so expensive.
 //
 // Shed-fast contract: a rejected decision performs NO shared-memory
-// writes. The in-flight bound is checked with a read + CAS claim that only
-// writes on successful admission; completion feedback lands in per-thread
-// util::StripedCounter cells and is folded into the EWMA on decision
-// epochs, not per sample; and a disabled mechanism costs at most a relaxed
-// load. This is what makes rejection effectively free and lets goodput
-// plateau under overload instead of collapsing (the F6b closed-loop sweep
-// in BENCH_query.json is the acceptance curve).
+// writes. The in-flight bound is split into striped slot counters, one per
+// cache line, and claimed with a read + CAS that only writes on successful
+// admission; completion feedback lands in per-thread cells and is folded
+// into the EWMA on decision epochs, not per sample; and a disabled
+// mechanism costs at most a relaxed load. This is what makes rejection
+// effectively free and lets goodput plateau under overload instead of
+// collapsing (the F6b closed-loop sweep in BENCH_query.json is the
+// acceptance curve).
 //
 // Recovery contract: the EWMA only learns from completed answers, so a
 // gate shedding 100% of traffic would otherwise never observe that load
@@ -55,12 +56,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "core/topology.hpp"
 #include "util/slot_pool.hpp"
-#include "util/striped.hpp"
 
 namespace hhc::query {
 
@@ -115,27 +117,40 @@ enum class AdmissionVerdict {
 /// The bounded in-flight gate + EWMA overload detector. Thread-safe; one
 /// admit() that returns kAdmitted/kAdmittedDegraded must be paired with
 /// exactly one release() (PathService uses an RAII guard).
+///
+/// A bounded gate splits max_in_flight over striped slot counters, each on
+/// its own cache line. The stripe count is derived, never configured:
+/// min(max_in_flight, hardware threads this process may run on), with
+/// capacities summing to the bound. A thread's home stripe is the one of
+/// the CPU it runs on; it claims there first and scans the others only
+/// when that one is full, so streams on different cores each keep to
+/// their own line instead of all writing one shared word.
 class AdmissionGate {
  public:
-  explicit AdmissionGate(AdmissionConfig config)
-      : config_{config}, key_{slot_pool()} {}
+  explicit AdmissionGate(AdmissionConfig config);
 
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
   /// Decides one query's fate at once; never blocks. A kShed verdict
-  /// writes no shared memory.
+  /// writes no shared memory: it is refused only after every stripe was
+  /// seen full.
   [[nodiscard]] AdmissionVerdict admit();
 
-  /// Returns the slot taken by a successful admit(). No-op on an unlimited
-  /// gate (no slot was ever claimed).
+  /// Returns one unit taken by a successful admit(). Units are
+  /// interchangeable, so release() may run on any thread, not only the one
+  /// that admitted: it takes the unit back from the calling thread's home
+  /// stripe, or from the first other stripe holding one. Lock-free,
+  /// noexcept and allocation-free. No-op on an unlimited gate (no slot was
+  /// ever claimed). A release() without a matching admission breaks the
+  /// pairing precondition and does not return once every stripe is empty.
   void release() noexcept;
 
   /// Feeds one completed answer's latency into the detector: per-thread
-  /// striped cells, folded into the EWMA on decision epochs (every
-  /// kDecisionEpoch completions, and eagerly while the gate is overloaded
-  /// so probe completions reopen it promptly). With the detector disabled
-  /// this touches thread-private cells only.
+  /// cells, folded into the EWMA on decision epochs (every kDecisionEpoch
+  /// completions, and eagerly while the gate is overloaded so probe
+  /// completions reopen it promptly). With the detector disabled this
+  /// touches thread-private cells only.
   void record_latency(double micros) noexcept;
 
   /// Smoothed latency estimate (µs); 0 until the first sample. Folds any
@@ -148,16 +163,15 @@ class AdmissionGate {
   /// the hot admit() path reads the cached epoch-folded state instead.
   [[nodiscard]] bool overloaded() const noexcept;
 
-  /// Instantaneous occupancy; always 0 for an unlimited gate (which does
-  /// no accounting — see AdmissionConfig::max_in_flight).
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
+  /// Occupancy summed over the stripes: exact when the gate is quiescent,
+  /// and always 0 for an unlimited gate (which does no accounting — see
+  /// AdmissionConfig::max_in_flight).
+  [[nodiscard]] std::size_t in_flight() const noexcept;
   [[nodiscard]] const AdmissionConfig& config() const noexcept {
     return config_;
   }
 
-  /// Length of the calling thread's shed-streak table: bounded by the most
+  /// Length of the calling thread's per-gate table: bounded by the most
   /// gates alive at once.
   [[nodiscard]] static std::size_t thread_table_size();
 
@@ -165,30 +179,59 @@ class AdmissionGate {
   static constexpr std::uint64_t kDecisionEpoch = 32;
 
  private:
+  /// One slot counter. `used` may exceed `capacity` transiently through
+  /// kDegrade and probe admissions.
+  struct alignas(64) Stripe {
+    std::atomic<std::size_t> used{0};
+    std::size_t capacity = 0;
+  };
+
+  /// One thread's completion samples. Only the owning thread writes it; a
+  /// fold reads {count, sum_ns} as one pair, retrying while `seq` is odd
+  /// (the owner is mid-update) or moved during the read, so a sample is
+  /// never folded with its count but without its latency.
+  struct alignas(64) CompletionCell {
+    std::atomic<std::uint64_t> seq{0};
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> sum_ns{0};
+  };
+
+  /// The calling thread's entry for this gate.
+  struct ThreadState {
+    std::size_t shed_streak = 0;
+    CompletionCell* cell = nullptr;  // owned by cells_
+  };
+
   /// Folds completion samples recorded since the last fold into the EWMA
   /// and refreshes the cached overload flag. Blocking variant used by the
   /// exact read-side accessors; the completion path uses try-lock.
   void fold_completions() const noexcept;
   [[nodiscard]] bool try_fold_completions() const noexcept;
   void apply_fold_locked() const noexcept;
-  [[nodiscard]] std::size_t& shed_streak() const;
-  [[nodiscard]] static util::ThreadTable<std::size_t>& tls_streaks();
+  [[nodiscard]] std::size_t home_stripe() const noexcept;
+  [[nodiscard]] ThreadState& thread_state() const;
+  [[nodiscard]] CompletionCell& completion_cell();
+  [[nodiscard]] static util::ThreadTable<ThreadState>& tls_states();
   [[nodiscard]] static util::SlotPool& slot_pool();
 
+  // Read by every admit(); written only by a fold that flips the verdict.
   AdmissionConfig config_;
-  const util::SlotKey key_;  // keys this gate's per-thread shed streak
-  std::atomic<std::size_t> in_flight_{0};
+  const util::SlotKey key_;  // keys this gate's per-thread state
+  std::size_t stripe_count_ = 0;  // 0 for an unlimited gate
+  std::unique_ptr<Stripe[]> stripes_;
+  mutable std::atomic<bool> overload_cached_{false};
 
   // Completion feedback: per-thread cells on the write side, folded into
-  // ewma_us_/overload_cached_ under fold_mutex_ on decision epochs.
-  util::StripedCounter completion_count_;
-  util::StripedCounter completion_sum_ns_;
-  std::atomic<std::uint64_t> completions_{0};  // epoch trigger (armed only)
+  // ewma_us_/overload_cached_ under fold_mutex_ on decision epochs. The
+  // epoch trigger starts a new cache line so that armed completions do not
+  // invalidate the line admit() reads.
+  alignas(64) std::atomic<std::uint64_t> completions_{0};
+  mutable std::mutex cells_mutex_;  // guards cells_ (registration, folds)
+  std::vector<std::unique_ptr<CompletionCell>> cells_;
   mutable std::mutex fold_mutex_;
   mutable std::uint64_t folded_count_ = 0;  // under fold_mutex_
   mutable std::uint64_t folded_sum_ns_ = 0;
   mutable std::atomic<double> ewma_us_{0.0};
-  mutable std::atomic<bool> overload_cached_{false};
 };
 
 /// Per-fault-epoch short-circuit for repeatedly-disconnected pairs. The

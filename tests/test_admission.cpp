@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -168,6 +169,95 @@ TEST(AdmissionGate, ProbeIntervalZeroDisablesProbing) {
   for (int i = 0; i < 256; ++i) {
     EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
   }
+}
+
+TEST(AdmissionGate, BoundAboveTheStripeCountAdmitsExactlyTheBound) {
+  // The stripe count is at most the hardware thread count, so a bound of
+  // twice that plus one spreads several slots over every stripe. One
+  // thread must still get the whole bound, then shed.
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  AdmissionConfig config;
+  config.max_in_flight = 2 * threads + 1;
+  config.policy = AdmissionPolicy::kReject;
+  AdmissionGate gate{config};
+
+  for (std::size_t i = 0; i < config.max_in_flight; ++i) {
+    ASSERT_EQ(gate.admit(), AdmissionVerdict::kAdmitted) << "admission " << i;
+  }
+  EXPECT_EQ(gate.in_flight(), config.max_in_flight);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
+  EXPECT_EQ(gate.in_flight(), config.max_in_flight);  // the shed wrote nothing
+
+  for (std::size_t i = 0; i < config.max_in_flight; ++i) gate.release();
+  EXPECT_EQ(gate.in_flight(), 0u);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+  gate.release();
+}
+
+TEST(AdmissionGate, NestedAdmitsAndReleasesReturnToZero) {
+  AdmissionConfig config;
+  config.max_in_flight = 3;
+  config.policy = AdmissionPolicy::kReject;
+  AdmissionGate gate{config};
+
+  // Interleaved nesting on one thread: units taken from several stripes
+  // come back one at a time, in any order, without underflowing a stripe.
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+    ASSERT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+    gate.release();
+    ASSERT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+    ASSERT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+    EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
+    EXPECT_EQ(gate.in_flight(), 3u);
+    gate.release();
+    gate.release();
+    EXPECT_EQ(gate.in_flight(), 1u);
+    gate.release();
+    EXPECT_EQ(gate.in_flight(), 0u);
+  }
+}
+
+TEST(AdmissionGate, OverBoundDegradeAndProbeUnitsReleaseWithoutLeaking) {
+  AdmissionConfig config;
+  config.max_in_flight = 2;
+  config.policy = AdmissionPolicy::kDegrade;
+  config.ewma_alpha = 1.0;
+  config.overload_latency_us = 10.0;
+  config.shed_on_overload = true;
+  config.probe_interval = 2;
+  AdmissionGate gate{config};
+
+  // kDegrade beyond the bound: two admissions fill it, two more exceed it.
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmittedDegraded);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmittedDegraded);
+  EXPECT_EQ(gate.in_flight(), 4u);
+
+  // Shed posture with the bound still full: every other decision is a
+  // probe that claims a unit above the bound.
+  gate.record_latency(1000.0);
+  ASSERT_TRUE(gate.overloaded());
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmittedDegraded);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kShed);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmittedDegraded);
+  EXPECT_EQ(gate.in_flight(), 6u);
+
+  for (int i = 0; i < 6; ++i) gate.release();
+  EXPECT_EQ(gate.in_flight(), 0u);
+
+  // Every credit came back: once the detector recovers, the full bound is
+  // available again and nothing beyond it.
+  gate.record_latency(1.0);
+  ASSERT_FALSE(gate.overloaded());
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(), AdmissionVerdict::kAdmittedDegraded);
+  for (int i = 0; i < 3; ++i) gate.release();
+  EXPECT_EQ(gate.in_flight(), 0u);
 }
 
 TEST(CircuitBreaker, DisabledBreakerNeverShortCircuits) {

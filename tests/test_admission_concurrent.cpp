@@ -16,6 +16,7 @@
 // Runs under the CI TSan job (ctest -L stress).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -110,6 +111,59 @@ TEST(AdmissionConcurrent, NoLeakedCreditsOnTheProbePath) {
   for (auto& worker : workers) worker.join();
   EXPECT_EQ(gate.in_flight(), 0u);
   EXPECT_TRUE(gate.overloaded());  // 1000 us probes kept it shut
+}
+
+TEST(AdmissionConcurrent, ReleasesOnOtherThreadsReturnEveryCredit) {
+  // Units are interchangeable across stripes: one thread admits up to the
+  // bound and hands each unit to a pool of releasers, which give them back
+  // from their own home stripes while more admissions race in. Nothing may
+  // underflow, leak, or push normal admissions past the bound.
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  AdmissionConfig config;
+  config.max_in_flight = threads + 3;
+  config.policy = AdmissionPolicy::kReject;
+  AdmissionGate gate{config};
+
+  constexpr std::uint64_t kUnits = 20000;
+  std::atomic<std::uint64_t> handed{0};
+  std::atomic<std::uint64_t> released{0};
+  std::atomic<std::size_t> peak{0};
+  std::thread admitter{[&] {
+    std::uint64_t sent = 0;
+    while (sent < kUnits) {
+      if (gate.admit() == AdmissionVerdict::kAdmitted) {
+        const std::size_t now = gate.in_flight();
+        std::size_t seen = peak.load(std::memory_order_relaxed);
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        handed.fetch_add(1, std::memory_order_release);
+        ++sent;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  }};
+  std::vector<std::thread> releasers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    releasers.emplace_back([&] {
+      for (;;) {
+        std::uint64_t done = released.load(std::memory_order_relaxed);
+        if (done == kUnits) return;
+        if (done < handed.load(std::memory_order_acquire) &&
+            released.compare_exchange_weak(done, done + 1)) {
+          gate.release();
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  admitter.join();
+  for (auto& releaser : releasers) releaser.join();
+  EXPECT_EQ(released.load(), kUnits);
+  EXPECT_LE(peak.load(), config.max_in_flight);
+  EXPECT_EQ(gate.in_flight(), 0u);
 }
 
 TEST(AdmissionConcurrent, ConcurrentEqualSamplesFoldToTheSampleExactly) {
