@@ -10,7 +10,7 @@
 // distinct keys twice: constructed directly, and looked up through a fresh
 // default (unbounded) ContainerCache, whose per-miss publication must stay
 // a small constant on top of the construction however large the cache
-// grows. The fan table times the construction's endpoint-fan solver
+// grows. The fan table times the construction's closed-form endpoint fan
 // against a warm graph::Dinic that rebuilds the split network per fan.
 //
 // `--smoke` runs a seconds-long subset (no google-benchmark registry, no
@@ -35,9 +35,9 @@
 #include "core/disjoint.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
+#include "cube/cube_fan.hpp"
 #include "cube/hypercube.hpp"
 #include "graph/dinic.hpp"
-#include "graph/vertex_disjoint.hpp"
 #include "provenance.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -104,8 +104,8 @@ ConstructionRow measure_construction(unsigned m, std::size_t pair_count,
   const auto pairs = core::sample_pairs(net, pair_count, 77);
   auto& scratch = core::tls_construction_scratch();
 
-  // Warm up: fills arena chunks, fan workspaces, and the cluster-graph
-  // cache so the timed loops see the steady state.
+  // Warm up: fills arena chunks and the route buffers so the timed loops
+  // see the steady state.
   for (const auto& [s, t] : pairs) {
     benchmark::DoNotOptimize(core::node_disjoint_paths(net, s, t));
     const auto set = core::node_disjoint_paths(net, s, t, {}, scratch);
@@ -216,25 +216,25 @@ FillRow measure_fill(unsigned m, std::size_t requested, std::size_t reps) {
 struct FanRow {
   unsigned m = 0;
   std::size_t fans = 0;
-  double workspace_us = 0.0;  // FanWorkspace::fan on the prebuilt network
-  double dinic_us = 0.0;      // warm graph::Dinic: rebuild + max_flow only
+  double closed_form_us = 0.0;  // cube::disjoint_fan
+  double dinic_us = 0.0;        // warm graph::Dinic: rebuild + max_flow only
 };
 
 struct FanInput {
-  graph::Vertex s = 0;
-  std::vector<graph::Vertex> targets;  // m distinct targets, != s
+  cube::CubeNode s = 0;
+  std::vector<cube::CubeNode> targets;  // m distinct targets, != s
 };
 
 // Seeded endpoint-fan inputs on Q_m: a source and m targets in random
 // order, the shape of the construction's exit and entry fans.
 std::vector<FanInput> fan_inputs(unsigned m, std::size_t count) {
-  const auto n = static_cast<graph::Vertex>(1U << m);
+  const std::uint64_t n = std::uint64_t{1} << m;
   util::Xoshiro256 rng{0xFA4 + m};
   std::vector<FanInput> inputs(count);
   for (FanInput& input : inputs) {
-    input.s = static_cast<graph::Vertex>(rng.below(n));
+    input.s = rng.below(n);
     while (input.targets.size() < m) {
-      const auto v = static_cast<graph::Vertex>(rng.below(n));
+      const cube::CubeNode v = rng.below(n);
       if (v != input.s && std::find(input.targets.begin(), input.targets.end(),
                                     v) == input.targets.end()) {
         input.targets.push_back(v);
@@ -244,16 +244,15 @@ std::vector<FanInput> fan_inputs(unsigned m, std::size_t count) {
   return inputs;
 }
 
-// Per-fan cost of the construction's fan solver against a warm Dinic that
-// rebuilds the split network per fan and runs only max_flow (the solver
-// before the prebuilt network, minus its flow decomposition). Best of
-// `reps` passes over the same inputs for each column.
+// Per-fan cost of the construction's closed-form fan against a warm Dinic
+// that rebuilds the split network per fan and runs only max_flow (the
+// solver the construction used before, minus its flow decomposition). Best
+// of `reps` passes over the same inputs for each column.
 FanRow measure_fan(unsigned m, std::size_t count, std::size_t reps) {
-  const graph::AdjacencyList g = cube::Hypercube{m}.explicit_graph();
-  const graph::SplitNetwork net{g};
+  const cube::Hypercube q{m};
+  const graph::AdjacencyList g = q.explicit_graph();
   const auto inputs = fan_inputs(m, count);
   const auto n = static_cast<std::uint32_t>(g.vertex_count());
-  graph::FanWorkspace ws;
   graph::Dinic dinic{0};
   const auto rebuild_and_solve = [&](const FanInput& input) {
     dinic.reset(2 * std::size_t{n} + 1);
@@ -263,28 +262,31 @@ FanRow measure_fan(unsigned m, std::size_t count, std::size_t reps) {
         dinic.add_edge(2 * v + 1, 2 * u, 1);
       }
     }
-    for (const graph::Vertex t : input.targets) {
-      dinic.add_edge(2 * t + 1, 2 * n, 1);
+    for (const cube::CubeNode t : input.targets) {
+      dinic.add_edge(2 * static_cast<std::uint32_t>(t) + 1, 2 * n, 1);
     }
-    return dinic.max_flow(2 * input.s + 1, 2 * n);
+    return dinic.max_flow(2 * static_cast<std::uint32_t>(input.s) + 1, 2 * n);
+  };
+  const auto closed_form = [&](const FanInput& input) {
+    return cube::disjoint_fan(q, input.s, input.targets)[0].size();
   };
   for (const FanInput& input : inputs) {  // warm both
-    benchmark::DoNotOptimize(ws.fan(net, input.s, input.targets).data());
+    benchmark::DoNotOptimize(closed_form(input));
     benchmark::DoNotOptimize(rebuild_and_solve(input));
   }
   FanRow row;
   row.m = m;
   row.fans = inputs.size();
   const double per_pass = static_cast<double>(inputs.size());
-  row.workspace_us = std::numeric_limits<double>::infinity();
+  row.closed_form_us = std::numeric_limits<double>::infinity();
   row.dinic_us = std::numeric_limits<double>::infinity();
   util::Stopwatch sw;
   for (std::size_t r = 0; r < reps; ++r) {
     sw.reset();
     for (const FanInput& input : inputs) {
-      benchmark::DoNotOptimize(ws.fan(net, input.s, input.targets).data());
+      benchmark::DoNotOptimize(closed_form(input));
     }
-    row.workspace_us = std::min(row.workspace_us, sw.micros() / per_pass);
+    row.closed_form_us = std::min(row.closed_form_us, sw.micros() / per_pass);
     sw.reset();
     for (const FanInput& input : inputs) {
       benchmark::DoNotOptimize(rebuild_and_solve(input));
@@ -327,9 +329,9 @@ void emit_json(const std::vector<ConstructionRow>& rows,
     json.begin_object()
         .key("m").value(static_cast<std::uint64_t>(row.m))
         .key("fans").value(std::uint64_t{row.fans})
-        .key("workspace_us_per_fan").value(row.workspace_us)
+        .key("closed_form_us_per_fan").value(row.closed_form_us)
         .key("dinic_rebuild_us_per_fan").value(row.dinic_us)
-        .key("dinic_over_workspace").value(row.dinic_us / row.workspace_us)
+        .key("dinic_over_closed_form").value(row.dinic_us / row.closed_form_us)
         .end_object();
   }
   json.end_array().end_object();
@@ -345,7 +347,7 @@ void print_arena_table(bool smoke) {
                      "arena pairs/s"}};
   for (unsigned m = 1; m <= max_m; ++m) {
     const std::size_t pair_count = smoke ? 128 : 512;
-    const std::size_t reps = smoke ? (m >= 4 ? 2 : 6) : (m >= 4 ? 8 : 30);
+    const std::size_t reps = smoke ? 20 : (m >= 4 ? 8 : 30);
     const ConstructionRow row = measure_construction(m, pair_count, reps);
     rows.push_back(row);
     table.row()
@@ -366,7 +368,7 @@ void print_arena_table(bool smoke) {
                           "fill/construct"}};
   for (unsigned m = 1; m <= max_m; ++m) {
     const std::size_t keys = !smoke && m == 4 ? 200000 : 24576;
-    const FillRow row = measure_fill(m, keys, smoke || m >= 4 ? 2 : 5);
+    const FillRow row = measure_fill(m, keys, !smoke && m >= 4 ? 2 : 5);
     fills.push_back(row);
     fill_table.row()
         .add(static_cast<int>(m))
@@ -383,24 +385,24 @@ void print_arena_table(bool smoke) {
                "CI asserts <= 1.5 at m = 4.\n";
 
   std::vector<FanRow> fans;
-  util::Table fan_table{{"m", "fans", "workspace us/fan",
-                         "dinic rebuild us/fan", "dinic/workspace"}};
+  util::Table fan_table{{"m", "fans", "closed form us/fan",
+                         "dinic rebuild us/fan", "dinic/closed form"}};
   for (unsigned m = 1; m <= 5; ++m) {
     const FanRow row = measure_fan(m, 2048, smoke ? 5 : 20);
     fans.push_back(row);
     fan_table.row()
         .add(static_cast<int>(m))
         .add(static_cast<int>(row.fans))
-        .add(row.workspace_us, 3)
+        .add(row.closed_form_us, 3)
         .add(row.dinic_us, 3)
-        .add(row.dinic_us / row.workspace_us, 2);
+        .add(row.dinic_us / row.closed_form_us, 2);
   }
   fan_table.print(std::cout,
                   "\nT3c: one endpoint fan (source, m targets) on Q_m, "
-                  "prebuilt flat network vs\nwarm Dinic rebuilding the split "
-                  "network (max_flow only, no decomposition)");
-  std::cout << "Expected shape: the workspace, which also decomposes the "
-               "flow into paths, stays\nfaster than the rebuild alone at "
+                  "closed form vs warm\nDinic rebuilding the split network "
+                  "(max_flow only, no decomposition)");
+  std::cout << "Expected shape: the closed form, which also writes the "
+               "walks, stays several\ntimes faster than the flow alone at "
                "every m; CI asserts >= 1.5x at m = 4.\n";
   emit_json(rows, fills, fans, smoke);
 }

@@ -4,8 +4,9 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "cube/cube_disjoint.hpp"
+#include "cube/cube_fan.hpp"
 #include "cube/hypercube.hpp"
-#include "graph/vertex_disjoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
@@ -204,15 +205,15 @@ void build_walk(const HhcTopology& net, std::uint64_t cluster,
 
 // realize_cluster_route, arena-backed: emits the exit walk (positions),
 // one crossing + private gateway walk per X-dimension, then the entry walk.
-// The walks come in as graph::Vertex spans straight from the fan solver.
+// The walks come in as Q_m label spans straight from the fans.
 PathRef realize_route(const HhcTopology& net, std::uint64_t start_cluster,
-                      std::span<const graph::Vertex> exit_walk,
+                      std::span<const cube::CubeNode> exit_walk,
                       std::span<const unsigned> xdims,
-                      std::span<const graph::Vertex> entry_walk,
+                      std::span<const cube::CubeNode> entry_walk,
                       util::PathArena& arena) {
   auto builder = arena.builder();
   std::uint64_t cluster = start_cluster;
-  for (const graph::Vertex pos : exit_walk) {
+  for (const cube::CubeNode pos : exit_walk) {
     builder.push(net.encode(cluster, pos));
   }
   for (std::size_t i = 0; i < xdims.size(); ++i) {
@@ -230,15 +231,15 @@ PathRef realize_route(const HhcTopology& net, std::uint64_t start_cluster,
   return builder.finish();
 }
 
-// Same-cluster case: m disjoint paths inside the cluster (exact max flow on
-// Q_m) plus one detour through the three neighboring clusters reachable via
-// the endpoints' external dimensions.
+// Same-cluster case: the m rotation/detour paths of Q_m between Ys and Yt
+// (cube::disjoint_paths) plus one detour through the three neighboring
+// clusters reachable via the endpoints' external dimensions.
 void same_cluster_paths(const HhcTopology& net, Node s, Node t,
                         ConstructionScratch& scratch) {
   const unsigned m = net.m();
   const std::uint64_t X = net.cluster_of(s);
-  const auto Ys = static_cast<graph::Vertex>(net.position_of(s));
-  const auto Yt = static_cast<graph::Vertex>(net.position_of(t));
+  const std::uint64_t Ys = net.position_of(s);
+  const std::uint64_t Yt = net.position_of(t);
   const unsigned a = net.gateway_dimension(s);
   const unsigned b = net.gateway_dimension(t);
 
@@ -246,14 +247,10 @@ void same_cluster_paths(const HhcTopology& net, Node s, Node t,
   static obs::Histogram& fan_hist =
       obs::stage_histogram(obs::stages::kFanSolve);
   obs::TraceSpan fan_span{obs::stages::kFanSolve, &fan_hist};
-  const auto inner =
-      scratch.exit_fan.max_disjoint_paths(scratch.split_network(m), Ys, Yt, m);
-  if (inner.size() != m) {
-    throw std::logic_error("cluster connectivity below m");
-  }
-  for (const auto& vp : inner) {
+  for (const auto& inner : cube::disjoint_paths(cube::Hypercube{m}, Ys, Yt, m,
+                                                scratch.cluster_paths)) {
     auto builder = scratch.arena.builder();
-    for (const graph::Vertex p : vp) builder.push(net.encode(X, p));
+    for (const cube::CubeNode p : inner) builder.push(net.encode(X, p));
     scratch.refs.push_back(builder.finish());
   }
 
@@ -278,59 +275,66 @@ void same_cluster_paths(const HhcTopology& net, Node s, Node t,
   scratch.refs.push_back(builder.finish());
 }
 
+struct EndpointFans {
+  cube::CubeFan exit;   // Ys to each exit target
+  cube::CubeFan entry;  // each entry source to Yt
+};
+
+// Both endpoint fans, inside one construct.fan_solve span.
+EndpointFans endpoint_fans(unsigned m, cube::CubeNode Ys,
+                           std::span<const cube::CubeNode> exit_targets,
+                           std::span<const cube::CubeNode> entry_sources,
+                           cube::CubeNode Yt) {
+  static obs::Histogram& fan_hist =
+      obs::stage_histogram(obs::stages::kFanSolve);
+  obs::TraceSpan fan_span{obs::stages::kFanSolve, &fan_hist};
+  const cube::Hypercube cluster{m};
+  return {cube::disjoint_fan(cluster, Ys, exit_targets),
+          cube::disjoint_reverse_fan(cluster, entry_sources, Yt)};
+}
+
 void different_cluster_paths(const HhcTopology& net, Node s, Node t,
                              ConstructionOptions options,
                              ConstructionScratch& scratch) {
-  const graph::SplitNetwork& cluster_net = scratch.split_network(net.m());
   const std::uint64_t Xs = net.cluster_of(s);
-  const auto Ys = static_cast<graph::Vertex>(net.position_of(s));
-  const auto Yt = static_cast<graph::Vertex>(net.position_of(t));
+  const std::uint64_t Ys = net.position_of(s);
+  const std::uint64_t Yt = net.position_of(t);
   const unsigned a = net.gateway_dimension(s);
   const unsigned b = net.gateway_dimension(t);
 
   differing_x_dimensions_into(net, s, t, options.ordering, scratch.dims);
-  select_routes_different_clusters(net, scratch, a, b, options.selection,
-                                   net.position_of(s), net.position_of(t));
+  select_routes_different_clusters(net, scratch, a, b, options.selection, Ys,
+                                   Yt);
   const std::size_t route_count = scratch.route_spans.size();
 
   // Exit fan inside cluster Xs: one disjoint walk per route that leaves s
-  // through an internal edge (first dimension != a).
-  scratch.exit_targets.clear();
-  scratch.entry_sources.clear();
+  // through an internal edge (first dimension != a); the entry fan mirrors
+  // it inside cluster Xt. Each fan has at most m walks.
+  std::array<cube::CubeNode, cube::kMaxFanDimension> exit_targets{};
+  std::array<cube::CubeNode, cube::kMaxFanDimension> entry_sources{};
+  std::size_t exit_count = 0;
+  std::size_t entry_count = 0;
   for (std::size_t i = 0; i < route_count; ++i) {
     const auto route = route_at(scratch, i);
-    if (route.front() != a) {
-      scratch.exit_targets.push_back(static_cast<graph::Vertex>(route.front()));
-    }
-    if (route.back() != b) {
-      scratch.entry_sources.push_back(static_cast<graph::Vertex>(route.back()));
-    }
+    if (route.front() != a) exit_targets[exit_count++] = route.front();
+    if (route.back() != b) entry_sources[entry_count++] = route.back();
   }
-  std::span<const graph::VertexPath> exit_fans;
-  std::span<const graph::VertexPath> entry_fans;
-  {
-    static obs::Histogram& fan_hist =
-        obs::stage_histogram(obs::stages::kFanSolve);
-    obs::TraceSpan fan_span{obs::stages::kFanSolve, &fan_hist};
-    exit_fans = scratch.exit_fan.fan(cluster_net, Ys, scratch.exit_targets);
-    entry_fans =
-        scratch.entry_fan.reverse_fan(cluster_net, scratch.entry_sources, Yt);
-  }
+  const EndpointFans fans = endpoint_fans(
+      net.m(), Ys, std::span{exit_targets.data(), exit_count},
+      std::span{entry_sources.data(), entry_count}, Yt);
 
   std::size_t exit_index = 0;
   std::size_t entry_index = 0;
   for (std::size_t i = 0; i < route_count; ++i) {
     const auto route = route_at(scratch, i);
-    const graph::Vertex trivial_exit[1] = {Ys};
-    const graph::Vertex trivial_entry[1] = {Yt};
-    const std::span<const graph::Vertex> exit_walk =
-        route.front() == a ? std::span<const graph::Vertex>{trivial_exit}
-                           : std::span<const graph::Vertex>{
-                                 exit_fans[exit_index++]};
-    const std::span<const graph::Vertex> entry_walk =
-        route.back() == b ? std::span<const graph::Vertex>{trivial_entry}
-                          : std::span<const graph::Vertex>{
-                                entry_fans[entry_index++]};
+    const cube::CubeNode trivial_exit[1] = {Ys};
+    const cube::CubeNode trivial_entry[1] = {Yt};
+    const std::span<const cube::CubeNode> exit_walk =
+        route.front() == a ? std::span<const cube::CubeNode>{trivial_exit}
+                           : fans.exit[exit_index++];
+    const std::span<const cube::CubeNode> entry_walk =
+        route.back() == b ? std::span<const cube::CubeNode>{trivial_entry}
+                          : fans.entry[entry_index++];
     scratch.refs.push_back(
         realize_route(net, Xs, exit_walk, route, entry_walk, scratch.arena));
   }

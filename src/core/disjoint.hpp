@@ -16,12 +16,13 @@
 //     routes can only meet inside the endpoint clusters.
 //   * Select m+1 routes with pairwise-distinct first and last dimensions,
 //     including the mandatory first = a and last = b routes; realize the
-//     endpoint-cluster segments as exact vertex-disjoint fans (max flow on
-//     the <= 32-node cluster), and intermediate clusters as private
-//     gateway-to-gateway walks.
+//     endpoint-cluster segments as vertex-disjoint fans built in closed
+//     form (cube::disjoint_fan: each walk at most m+1 hops), and
+//     intermediate clusters as private gateway-to-gateway walks.
 //
-//   When Xs = Xt the m+1 paths are the m disjoint Ys-Yt paths inside the
-//   cluster plus one external detour through three neighboring clusters.
+//   When Xs = Xt the m+1 paths are the m rotation/detour Ys-Yt paths of
+//   the cluster (cube::disjoint_paths) plus one external detour through
+//   three neighboring clusters. No part of the construction runs max flow.
 //
 // The result is exactly m+1 = connectivity paths; tests verify the claim
 // exhaustively for m <= 2 and against a max-flow baseline for m <= 4.
@@ -85,8 +86,8 @@ struct ConstructionOptions {
 
 /// Constructs m+1 node-disjoint paths from s to t (s != t).
 /// Deterministic; O(m+1) paths of length <= 2^m + k + O(m) each, built in
-/// time linear in the total output size (the endpoint fans run max flow on
-/// a 2^m-node cluster, a constant for fixed m).
+/// time linear in the total output size (the endpoint fans halve the
+/// 2^m-node cluster at most m times, a constant for fixed m).
 [[nodiscard]] DisjointPathSet node_disjoint_paths(
     const HhcTopology& net, Node s, Node t, ConstructionOptions options = {});
 

@@ -6,6 +6,7 @@
 
 #include "cube/cube_disjoint.hpp"
 #include "graph/path_utils.hpp"
+#include "graph/vertex_disjoint.hpp"
 #include "util/rng.hpp"
 
 namespace hhc::cube {
@@ -132,6 +133,44 @@ TEST(CubeDisjoint, ScratchOverloadMatchesLegacy) {
                std::invalid_argument);
   EXPECT_THROW((void)disjoint_paths(Hypercube{3}, 2, 2, 1, scratch),
                std::invalid_argument);
+}
+
+// The same-cluster HHC construction takes its m cluster paths from the
+// scratch overload. On every ordered pair of Q_2..Q_5 and at every count up
+// to n, it must return as many valid, internally disjoint paths as max flow
+// finds with the same limit.
+TEST(CubeDisjoint, ScratchOverloadMatchesMaxflowOnEveryPairOfQ2ToQ5) {
+  CubeDisjointScratch scratch;
+  for (unsigned n = 2; n <= 5; ++n) {
+    const Hypercube q{n};
+    const auto g = q.explicit_graph();
+    for (CubeNode s = 0; s < q.node_count(); ++s) {
+      for (CubeNode t = 0; t < q.node_count(); ++t) {
+        if (s == t) continue;
+        const auto vs = static_cast<graph::Vertex>(s);
+        const auto vt = static_cast<graph::Vertex>(t);
+        for (std::size_t count = 0; count <= n; ++count) {
+          SCOPED_TRACE(::testing::Message() << "n=" << n << " s=" << s
+                                            << " t=" << t << " count="
+                                            << count);
+          const auto refs = disjoint_paths(q, s, t, count, scratch);
+          ASSERT_EQ(refs.size(),
+                    graph::max_vertex_disjoint_paths(g, vs, vt, count).size());
+          std::vector<graph::VertexPath> vpaths;
+          for (const auto path : refs) {
+            graph::VertexPath& vp = vpaths.emplace_back();
+            for (const CubeNode v : path) {
+              vp.push_back(static_cast<graph::Vertex>(v));
+            }
+            ASSERT_TRUE(graph::validate_path_between(g, vp, vs, vt).ok);
+          }
+          const std::vector<graph::Vertex> shared{vs, vt};
+          ASSERT_TRUE(
+              graph::validate_internally_disjoint(g, vpaths, shared).ok);
+        }
+      }
+    }
+  }
 }
 
 // Parameterized dimension sweep: each n gets its own test cell so a
